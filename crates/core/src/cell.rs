@@ -54,9 +54,9 @@
 //! state — the invariant the measurement harness relies on ("a set is
 //! counted before any waiter can observe the fulfilment").
 //!
-//! Once filled, the payload is never written again (the CAS can only be won
-//! once) and only dropped through `&mut self`/`Drop`, so handing out `&V`
-//! borrows tied to `&self` is sound.
+//! Once filled, the payload is never written again through `&self` (the CAS
+//! can only be won once); it is reached mutably (`get_mut`) or dropped only
+//! through `&mut self`, so handing out `&V` borrows tied to `&self` is sound.
 
 use std::cell::UnsafeCell;
 use std::mem::MaybeUninit;
@@ -340,18 +340,30 @@ impl<V> OneShotCell<V> {
 
     /// The filled payload, or `None` if the cell is still empty/filling.
     ///
-    /// The borrow is tied to `&self`: a filled payload is immutable for the
-    /// rest of the cell's life (see the module docs), so this is safe to
-    /// hold while other threads read concurrently.
+    /// The borrow is tied to `&self`: a filled payload is immutable while
+    /// the cell is shared (see the module docs), so this is safe to hold
+    /// while other threads read concurrently.
     #[inline]
     pub fn get_ref(&self) -> Option<&V> {
         if !self.is_filled() {
             return None;
         }
         // SAFETY: the acquire load above observed SET/FAILED, which is
-        // published only after the payload write; the payload is never
-        // written again and only dropped with exclusive access.
+        // published only after the payload write; the payload is written
+        // again or dropped only with exclusive access.
         Some(unsafe { (*self.payload.get()).assume_init_ref() })
+    }
+
+    /// The filled payload through an exclusive borrow of the cell, or
+    /// `None` if the cell is empty.
+    pub fn get_mut(&mut self) -> Option<&mut V> {
+        // `&mut self`: no fill is in flight and no `get_ref` borrow is
+        // alive, so the phase is EMPTY, SET or FAILED and stays that.
+        if *self.state.get_mut() & PHASE_MASK < SET {
+            return None;
+        }
+        // SAFETY: the payload was initialised by the successful fill.
+        Some(unsafe { self.payload.get_mut().assume_init_mut() })
     }
 }
 
@@ -599,6 +611,15 @@ mod tests {
         assert!(cell.is_filled());
         assert!(!cell.is_failed());
         assert_eq!(*cell.get_ref().unwrap(), 7);
+    }
+
+    #[test]
+    fn get_mut_reaches_the_payload_once_filled() {
+        let mut cell = OneShotCell::<String>::new();
+        assert!(cell.get_mut().is_none());
+        cell.try_fill("a".into(), false).unwrap();
+        cell.get_mut().unwrap().push('b');
+        assert_eq!(cell.get_ref().unwrap(), "ab");
     }
 
     #[test]

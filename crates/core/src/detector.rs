@@ -122,17 +122,21 @@ use std::sync::Arc;
 use crate::context::Context;
 use crate::error::{CycleEntry, DeadlockCycle};
 use crate::ids::{PromiseId, TaskId};
+use crate::name::Name;
 use crate::refs::PackedRef;
 
 /// The inputs of one detector run: the current task (`t0`) and the promise it
-/// is about to block on (`p0`).
-pub(crate) struct DetectionSubject {
+/// is about to block on (`p0`).  The names are read only if a cycle is
+/// reported; `p0_name` is borrowed because all the cells of a channel share
+/// one label, and cloning it on every blocking `get` would bounce that
+/// string's reference count between the sender's and the receiver's thread.
+pub(crate) struct DetectionSubject<'a> {
     pub t0_slot: PackedRef,
     pub t0_id: TaskId,
     pub t0_name: Option<Arc<str>>,
     pub p0_slot: PackedRef,
     pub p0_id: PromiseId,
-    pub p0_name: Option<Arc<str>>,
+    pub p0_name: Option<&'a Name>,
 }
 
 /// Fully validated (seqlock) read of `owner(p)`, used by the post-detection
@@ -177,7 +181,7 @@ pub(crate) fn clear_mark(ctx: &Context, task_slot: PackedRef) {
 ///   returned so the caller can raise the alarm.
 pub(crate) fn verify_and_mark(
     ctx: &Context,
-    subject: DetectionSubject,
+    subject: DetectionSubject<'_>,
 ) -> Result<(), Arc<DeadlockCycle>> {
     // Line 3: mark that t0 is (about to be) waiting on p0.  SeqCst store plus
     // a SeqCst fence give the publication the total order required by
@@ -294,12 +298,12 @@ pub(crate) fn verify_and_mark(
 /// Walks the (stable) detected cycle once more with fully validated reads,
 /// producing the report entries `t0/p0, t1/p1, …` that
 /// [`DeadlockCycle`] renders.  Bounded by `cap` defensively.
-fn collect_cycle(ctx: &Context, subject: &DetectionSubject, cap: usize) -> Vec<CycleEntry> {
+fn collect_cycle(ctx: &Context, subject: &DetectionSubject<'_>, cap: usize) -> Vec<CycleEntry> {
     let mut entries: Vec<CycleEntry> = vec![CycleEntry {
         task: subject.t0_id,
         task_name: subject.t0_name.clone(),
         promise: subject.p0_id,
-        promise_name: subject.p0_name.clone(),
+        promise_name: subject.p0_name.map(Name::render),
     }];
     let mut p_i = subject.p0_slot;
     let mut t_next = load_owner_validated(ctx, p_i);
@@ -363,7 +367,7 @@ mod tests {
             .unwrap();
     }
 
-    fn subject(t: PackedRef, tid: u64, p: PackedRef, pid: u64) -> DetectionSubject {
+    fn subject(t: PackedRef, tid: u64, p: PackedRef, pid: u64) -> DetectionSubject<'static> {
         DetectionSubject {
             t0_slot: t,
             t0_id: TaskId(tid),

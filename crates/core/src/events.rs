@@ -27,11 +27,13 @@
 //! canonical exports even though their raw interleavings (and the racy alarm
 //! multiplicity of §3.1) differ.
 
+use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::Instant;
 
 use crate::alarms::AlarmSink;
 use crate::ids::{PromiseId, TaskId};
+use crate::name::Name;
 
 /// The kind of one logged event.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -92,7 +94,7 @@ pub struct EventRecord {
     /// The promise involved ([`PromiseId::NONE`] for task-lifecycle events).
     pub promise: PromiseId,
     /// The involved promise's captured name, if any.
-    pub promise_name: Option<Arc<str>>,
+    pub promise_name: Option<Name>,
     /// For [`EventKind::Spawn`] / [`EventKind::Transfer`]: the child task.
     pub child: TaskId,
     /// The child task's captured name, if any.
@@ -136,7 +138,7 @@ impl EventRecord {
             push_field(&mut out, "promise", &self.promise.0.to_string());
         }
         if let Some(n) = &self.promise_name {
-            push_field(&mut out, "promise_name", &json_str(n));
+            push_name(&mut out, "promise_name", n);
         }
         if self.child.is_some() {
             push_field(&mut out, "child", &self.child.0.to_string());
@@ -172,7 +174,7 @@ impl EventRecord {
         push_field(&mut out, "seq", &self.seq.to_string());
         push_field(&mut out, "kind", &json_str(self.kind.label()));
         if let Some(n) = &self.promise_name {
-            push_field(&mut out, "promise", &json_str(n));
+            push_name(&mut out, "promise", n);
         }
         if let Some(n) = &self.child_name {
             push_field(&mut out, "child", &json_str(n));
@@ -201,21 +203,40 @@ fn push_field(out: &mut String, key: &str, rendered: &str) {
     out.push_str(rendered);
 }
 
+/// Writes `"key":"name"`, escaping the name's text as it is produced: a
+/// structured name is written out here, for the log's consumers, and takes
+/// no intermediate string.
+fn push_name(out: &mut String, key: &str, name: &Name) {
+    push_field(out, key, "\"");
+    let _ = write!(JsonEscaped(out), "{name}");
+    out.push('"');
+}
+
 fn json_str(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
+    let _ = JsonEscaped(&mut out).write_str(s);
     out.push('"');
     out
+}
+
+/// A writer that JSON-escapes what is written through it.
+struct JsonEscaped<'a>(&'a mut String);
+
+impl std::fmt::Write for JsonEscaped<'_> {
+    fn write_str(&mut self, s: &str) -> std::fmt::Result {
+        for c in s.chars() {
+            match c {
+                '"' => self.0.push_str("\\\""),
+                '\\' => self.0.push_str("\\\\"),
+                '\n' => self.0.push_str("\\n"),
+                '\t' => self.0.push_str("\\t"),
+                c if (c as u32) < 0x20 => write!(self.0, "\\u{:04x}", c as u32)?,
+                c => self.0.push(c),
+            }
+        }
+        Ok(())
+    }
 }
 
 /// The append-only event log of one context.
@@ -250,7 +271,7 @@ impl EventLog {
         kind: EventKind,
         info: Option<(TaskId, Option<Arc<str>>, u64)>,
         promise: PromiseId,
-        promise_name: Option<Arc<str>>,
+        promise_name: Option<Name>,
     ) {
         let mut rec = EventRecord::blank(kind, self.now_ns());
         if let Some((task, task_name, seq)) = info {
@@ -269,7 +290,7 @@ impl EventLog {
         kind: EventKind,
         info: Option<(TaskId, Option<Arc<str>>, u64)>,
         promise: PromiseId,
-        promise_name: Option<Arc<str>>,
+        promise_name: Option<Name>,
         child: TaskId,
         child_name: Option<Arc<str>>,
     ) {
@@ -375,7 +396,7 @@ mod tests {
             EventKind::Get,
             info(3, "t1", 0),
             PromiseId(7),
-            Some(Arc::from("p2")),
+            Some(Name::plain("p2")),
         );
         log.record_alarm(info(3, "t1", 1), "deadlock");
         log.record(EventKind::TaskStart, None, PromiseId::NONE, None);
@@ -389,6 +410,26 @@ mod tests {
     }
 
     #[test]
+    fn structured_names_are_written_and_escaped_like_their_text() {
+        let log = EventLog::new();
+        let label: Arc<str> = Arc::from("in\"bound");
+        log.record(
+            EventKind::Set,
+            info(2, "t\\2", 0),
+            PromiseId(4),
+            Some(Name::Indexed(label, 17)),
+        );
+        let rec = &log.snapshot()[0];
+        let json = rec.to_json();
+        assert!(json.contains(r#""task_name":"t\\2""#), "{json}");
+        assert!(json.contains(r#""promise_name":"in\"bound[17]""#), "{json}");
+        assert_eq!(
+            rec.to_canonical_json().unwrap(),
+            r#"{"task":"t\\2","seq":0,"kind":"set","promise":"in\"bound[17]"}"#
+        );
+    }
+
+    #[test]
     fn canonical_projection_drops_alarms_and_timestamps_and_sorts() {
         let log = EventLog::new();
         // Recorded "out of order" across tasks; canonical sorts by task/seq.
@@ -396,19 +437,19 @@ mod tests {
             EventKind::Set,
             info(2, "t2", 0),
             PromiseId(9),
-            Some(Arc::from("p1")),
+            Some(Name::plain("p1")),
         );
         log.record(
             EventKind::Get,
             info(1, "t1", 1),
             PromiseId(9),
-            Some(Arc::from("p1")),
+            Some(Name::plain("p1")),
         );
         log.record(
             EventKind::Get,
             info(1, "t1", 0),
             PromiseId(8),
-            Some(Arc::from("p0")),
+            Some(Name::plain("p0")),
         );
         log.record_alarm(info(1, "t1", 2), "deadlock");
         let canon = log.canonical_jsonl();

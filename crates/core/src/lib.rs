@@ -62,6 +62,7 @@ pub mod helping;
 pub mod ids;
 pub mod job;
 pub mod magazine;
+pub mod name;
 pub mod ownership;
 pub mod policy;
 pub mod pool_arc;
@@ -88,6 +89,7 @@ pub use events::{EventKind, EventLog, EventRecord};
 pub use helping::HelpConfig;
 pub use ids::{PromiseId, TaskId};
 pub use job::Job;
+pub use name::Name;
 pub use policy::{LedgerMode, OmittedSetAction, PolicyConfig, VerificationMode};
 pub use pool_arc::{ErasedPromiseRef, PoolArc};
 pub use promise::{ErasedPromise, Promise};

@@ -72,6 +72,17 @@ pub fn prepare_task(
     name: Option<&str>,
     transfers: impl Into<TransferList>,
 ) -> Result<PreparedTask, PromiseError> {
+    prepare_task_named(|| name.map(Arc::from), transfers)
+}
+
+/// [`prepare_task`] for a name that is already a shared string; `name` runs
+/// only in a context that captures names.  The runtime's spawn path uses it
+/// to share one string between a task and its completion promise.
+#[doc(hidden)]
+pub fn prepare_task_named(
+    name: impl FnOnce() -> Option<Arc<str>>,
+    transfers: impl Into<TransferList>,
+) -> Result<PreparedTask, PromiseError> {
     let transfers = transfers.into();
     task::with_current_body(|parent| {
         let ctx = Arc::clone(&parent.ctx);
@@ -150,6 +161,12 @@ pub fn prepare_task(
             }
             body.ledger.append(p.clone(), &ctx.promises, body.slot);
         }
+        // A parent that hands out many promises and creates few (a pipeline
+        // or stencil builder) lets go of them here, not when it next parks:
+        // each stale entry pins whatever its promise links to.
+        parent
+            .ledger
+            .sweep_if_stale(task::LEDGER_PRUNE_MIN as u32, &ctx.promises, parent.slot);
 
         ctx.with_event_log(|log| {
             log.record_child(
@@ -165,7 +182,7 @@ pub fn prepare_task(
                     EventKind::Transfer,
                     body_event_info(parent),
                     p.id(),
-                    p.name(),
+                    p.name_ref().cloned(),
                     body.id,
                     body.name.clone(),
                 );
@@ -269,16 +286,10 @@ pub(crate) fn compute_obligations(body: &TaskBody, exclude: &[PromiseId]) -> Obl
                 if exclude.contains(&e.id()) {
                     continue;
                 }
-                if e.is_fulfilled() {
-                    continue;
-                }
                 // Lazy ledgers keep entries for promises that were since
                 // transferred away or fulfilled; only promises still owned by
                 // this task count (§6.2).
-                // SAFETY: the ledger entry `e` keeps the occupancy live.
-                let owner = unsafe { ctx.promises.read_live(e.slot(), |s| s.owner()) }
-                    .unwrap_or(PackedRef::NULL);
-                if owner == body.slot {
+                if task::is_live_obligation(e, &ctx.promises, body.slot) {
                     abandoned.push(AbandonedPromise {
                         promise: e.id(),
                         promise_name: e.name(),

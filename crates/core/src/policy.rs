@@ -37,6 +37,18 @@ impl VerificationMode {
         matches!(self, VerificationMode::Full)
     }
 
+    /// Whether task and promise names are kept for diagnostics.  Names are
+    /// read by alarms, error messages and the event log; the unverified
+    /// baseline raises no alarm, so it keeps none and `name()` reads `None`
+    /// there.  Keeping a name costs one string per named task, promise or
+    /// channel — a channel's cells and a task's completion promise share
+    /// their base string (see [`Name`](crate::Name)) — and nothing per
+    /// message or per `get`/`set`.
+    #[inline]
+    pub fn captures_names(self) -> bool {
+        self.tracks_ownership()
+    }
+
     /// A short label used by benchmark output.
     pub fn label(self) -> &'static str {
         match self {
@@ -105,9 +117,6 @@ pub struct PolicyConfig {
     pub ledger: LedgerMode,
     /// Reaction to an omitted set.
     pub omitted_set: OmittedSetAction,
-    /// Whether task/promise names are captured for diagnostics.  Names make
-    /// alarms easier to read but cost an allocation per named object.
-    pub capture_names: bool,
     /// Upper bound multiplier on detector traversal length, as a multiple of
     /// the number of live tasks.  Algorithm 2 cannot cycle for the task that
     /// completes a deadlock, but a task that is merely *part* of a cycle
@@ -124,7 +133,6 @@ impl Default for PolicyConfig {
             mode: VerificationMode::Full,
             ledger: LedgerMode::Lazy,
             omitted_set: OmittedSetAction::CompleteAndReport,
-            capture_names: true,
             max_traversal_factor: 2,
         }
     }
@@ -135,7 +143,6 @@ impl PolicyConfig {
     pub fn unverified() -> Self {
         PolicyConfig {
             mode: VerificationMode::Unverified,
-            capture_names: false,
             ..Default::default()
         }
     }
@@ -170,12 +177,6 @@ impl PolicyConfig {
         self.omitted_set = action;
         self
     }
-
-    /// Builder-style: set whether names are captured.
-    pub fn with_capture_names(mut self, capture: bool) -> Self {
-        self.capture_names = capture;
-        self
-    }
 }
 
 #[cfg(test)]
@@ -190,6 +191,9 @@ mod tests {
         assert!(!VerificationMode::OwnershipOnly.detects_deadlocks());
         assert!(VerificationMode::Full.tracks_ownership());
         assert!(VerificationMode::Full.detects_deadlocks());
+        assert!(!VerificationMode::Unverified.captures_names());
+        assert!(VerificationMode::OwnershipOnly.captures_names());
+        assert!(VerificationMode::Full.captures_names());
     }
 
     #[test]
@@ -198,7 +202,6 @@ mod tests {
         assert_eq!(c.mode, VerificationMode::Full);
         assert_eq!(c.ledger, LedgerMode::Lazy);
         assert_eq!(c.omitted_set, OmittedSetAction::CompleteAndReport);
-        assert!(c.capture_names);
     }
 
     #[test]
@@ -207,7 +210,6 @@ mod tests {
             PolicyConfig::unverified().mode,
             VerificationMode::Unverified
         );
-        assert!(!PolicyConfig::unverified().capture_names);
         assert_eq!(PolicyConfig::verified().mode, VerificationMode::Full);
         assert_eq!(
             PolicyConfig::ownership_only().mode,
@@ -220,12 +222,10 @@ mod tests {
         let c = PolicyConfig::default()
             .with_mode(VerificationMode::OwnershipOnly)
             .with_ledger(LedgerMode::CountOnly)
-            .with_omitted_set(OmittedSetAction::Panic)
-            .with_capture_names(false);
+            .with_omitted_set(OmittedSetAction::Panic);
         assert_eq!(c.mode, VerificationMode::OwnershipOnly);
         assert_eq!(c.ledger, LedgerMode::CountOnly);
         assert_eq!(c.omitted_set, OmittedSetAction::Panic);
-        assert!(!c.capture_names);
     }
 
     #[test]

@@ -3,11 +3,13 @@
 //!
 //! Every promise — including the fused completion cell of each spawn — used
 //! to live in an `Arc<PromiseInner<…>>`, and `Arc::new` is an unavoidable
-//! global-allocator call: `Arc` owns its own layout.  After PR 4 recycled
-//! the job records, transfer lists and arena slots, that one `Arc` was the
-//! last allocation left on the steady-state spawn → run → retire path.
+//! global-allocator call: `Arc` owns its own layout.  With job records,
+//! transfer lists and arena slots recycled, that `Arc` is the one allocation
+//! every promise would still make.  (A *named* promise also needs its name;
+//! [`Name`](crate::Name) keeps that to one string per named task or channel
+//! rather than one per promise.)
 //!
-//! [`PoolArc<T>`] closes it.  It is a hand-rolled `Arc` whose *storage*
+//! [`PoolArc<T>`] removes it.  It is a hand-rolled `Arc` whose *storage*
 //! comes from the shared 256-byte block pool of [`crate::job`] (per-worker
 //! magazines over the generic epoch-claimed [`crate::magazine`] protocol):
 //!
@@ -153,6 +155,17 @@ impl<T: Send + Sync> PoolArc<T> {
     }
 }
 
+// The records the hot paths create must stay pooled: a field added to
+// `PromiseInner` that pushes one past a block silently puts an allocator
+// call back on every message or spawn.  (Channel cells are checked beside
+// their definition in `promise-sync`.)
+const _: () = {
+    use crate::cell::ResultSlot;
+    use crate::promise::PromiseInner;
+    assert!(PoolArc::<PromiseInner<u64>>::fits_pool_block());
+    assert!(PoolArc::<PromiseInner<(), ResultSlot<u64>>>::fits_pool_block());
+};
+
 impl<T> PoolArc<T> {
     #[inline]
     fn header(&self) -> &RcHeader {
@@ -172,6 +185,20 @@ impl<T> PoolArc<T> {
         if old > MAX_REFCOUNT {
             std::process::abort();
         }
+    }
+
+    /// Exclusive access to the payload if this is the only handle, typed or
+    /// erased — `Arc::get_mut`, with no weak handles to rule out.
+    pub fn get_mut(this: &mut PoolArc<T>) -> Option<&mut T> {
+        // Acquire pairs with the Release decrement of every handle dropped
+        // so far: their accesses happen-before the exclusive borrow.
+        if this.header().strong.load(Ordering::Acquire) != 1 {
+            return None;
+        }
+        // SAFETY: the count is 1, so `this` is the only handle, and it is
+        // borrowed mutably for as long as the payload borrow lives, so no
+        // other handle can be made from it meanwhile.
+        Some(unsafe { &mut this.record.as_mut().payload })
     }
 
     /// Whether this record's storage came from the block pool (tests and
@@ -340,6 +367,16 @@ mod tests {
         assert_eq!(drops.load(Ordering::SeqCst), 0);
         drop(c);
         assert_eq!(drops.load(Ordering::SeqCst), 1);
+    }
+
+    #[test]
+    fn get_mut_needs_the_only_handle() {
+        let mut a = PoolArc::new(1u64);
+        *PoolArc::get_mut(&mut a).expect("sole handle") += 1;
+        let b = a.clone();
+        assert!(PoolArc::get_mut(&mut a).is_none(), "shared with `b`");
+        drop(b);
+        assert_eq!(PoolArc::get_mut(&mut a).copied(), Some(2));
     }
 
     #[test]

@@ -73,6 +73,7 @@ use crate::detector;
 use crate::error::PromiseError;
 use crate::events::EventKind;
 use crate::ids::{PromiseId, TaskId};
+use crate::name::Name;
 use crate::ownership;
 use crate::pool_arc::{ErasedPromiseRef, PoolArc};
 use crate::refs::PackedRef;
@@ -87,8 +88,12 @@ use crate::task;
 pub trait ErasedPromise: Send + Sync {
     /// The promise's stable id.
     fn id(&self) -> PromiseId;
-    /// The promise's name, if one was captured.
-    fn name(&self) -> Option<Arc<str>>;
+    /// The promise's name as a string, if one was captured.
+    fn name(&self) -> Option<Arc<str>> {
+        self.name_ref().map(Name::render)
+    }
+    /// The promise's name as captured, without turning it into a string.
+    fn name_ref(&self) -> Option<&Name>;
     /// The promise's slot in its context's promise arena
     /// ([`PackedRef::NULL`] under the unverified baseline).
     fn slot(&self) -> PackedRef;
@@ -107,7 +112,7 @@ pub trait ErasedPromise: Send + Sync {
 pub(crate) struct PromiseInner<T, X = ()> {
     ctx: Arc<Context>,
     id: PromiseId,
-    name: Option<Arc<str>>,
+    name: Option<Name>,
     slot: PackedRef,
     cell: OneShotCell<Result<T, PromiseError>>,
     /// Extension payload fused into the same allocation (see
@@ -119,8 +124,8 @@ impl<T: Send + Sync + 'static, X: Send + Sync + 'static> ErasedPromise for Promi
     fn id(&self) -> PromiseId {
         self.id
     }
-    fn name(&self) -> Option<Arc<str>> {
-        self.name.clone()
+    fn name_ref(&self) -> Option<&Name> {
+        self.name.as_ref()
     }
     fn slot(&self) -> PackedRef {
         self.slot
@@ -273,8 +278,11 @@ impl<T, X> Drop for PromiseInner<T, X> {
 /// ([`PoolArc`]): promise cells whose record fits a 256-byte pool block —
 /// every ordinary promise and every fused completion cell with a
 /// reasonably-sized result type — come from the per-worker block magazines
-/// of [`crate::job`] instead of the global allocator, which removes the
-/// last allocator call from the steady-state spawn → run → retire path.
+/// of [`crate::job`] instead of the global allocator, so creating a promise
+/// makes no allocator call in steady state.  Its diagnostic name, if any, is
+/// a [`Name`]: a plain name is one string, and a derived one (cell *n* of a
+/// labelled channel, a named task's completion promise) shares its base
+/// string and is written out only when an alarm or the event log reads it.
 pub struct Promise<T, X = ()> {
     inner: PoolArc<PromiseInner<T, X>>,
 }
@@ -344,6 +352,18 @@ impl<T: Send + Sync + 'static, X: Send + Sync + 'static> Promise<T, X> {
     /// no policy rule, no detector edge.
     #[doc(hidden)]
     pub fn try_new_with(name: Option<&str>, extra: X) -> Result<Promise<T, X>, PromiseError> {
+        Self::try_new_named(|| name.map(Name::plain), extra)
+    }
+
+    /// [`try_new_with`](Promise::try_new_with) for a structured [`Name`].
+    /// `name` runs only in a context that captures names, so a caller that
+    /// derives names (a channel naming its cells, a spawn naming its
+    /// completion promise) does no naming work where none is kept.
+    #[doc(hidden)]
+    pub fn try_new_named(
+        name: impl FnOnce() -> Option<Name>,
+        extra: X,
+    ) -> Result<Promise<T, X>, PromiseError> {
         task::with_current_body(|body| {
             let ctx = Arc::clone(&body.ctx);
             ctx.counters().record_promise_created();
@@ -366,8 +386,8 @@ impl<T: Send + Sync + 'static, X: Send + Sync + 'static> Promise<T, X> {
             } else {
                 PackedRef::NULL
             };
-            let name = if ctx.config().capture_names {
-                name.map(Arc::from)
+            let name = if ctx.config().mode.captures_names() {
+                name()
             } else {
                 None
             };
@@ -408,7 +428,7 @@ impl<T: Send + Sync + 'static, X: Send + Sync + 'static> Promise<T, X> {
 
     /// The promise's name, if one was captured.
     pub fn name(&self) -> Option<Arc<str>> {
-        self.inner.name.clone()
+        self.inner.name()
     }
 
     /// Whether the promise has been fulfilled (normally or exceptionally).
@@ -441,6 +461,13 @@ impl<T: Send + Sync + 'static, X: Send + Sync + 'static> Promise<T, X> {
     /// allocates nothing.
     pub fn as_erased(&self) -> ErasedPromiseRef {
         PoolArc::erase(&self.inner)
+    }
+
+    /// Whether a promise of this type keeps its record in one recycled pool
+    /// block (compile-time layout check; see [`PoolArc::fits_pool_block`]).
+    #[doc(hidden)]
+    pub const fn fits_pool_block() -> bool {
+        PoolArc::<PromiseInner<T, X>>::fits_pool_block()
     }
 
     /// Whether this promise's record came from the recycled block pool (as
@@ -704,7 +731,7 @@ impl<T: Send + Sync + 'static, X: Send + Sync + 'static> Promise<T, X> {
                         t0_name,
                         p0_slot: self.inner.slot,
                         p0_id: self.inner.id,
-                        p0_name: self.inner.name.clone(),
+                        p0_name: self.inner.name.as_ref(),
                     };
                     match detector::verify_and_mark(ctx, subject) {
                         Ok(()) => Some(t0_slot),
@@ -749,6 +776,10 @@ impl<T: Send + Sync + 'static, X: Send + Sync + 'static> Promise<T, X> {
         if self.inner.is_fulfilled() {
             return Ok(());
         }
+        // This wait is going to help or park: the moment a lazy ledger lets
+        // go of what its task no longer owns (and, before the helping gate
+        // below reads the ledger, shortens it).
+        task::sweep_ledger_before_park(&self.inner.ctx);
         let executor = self.inner.ctx.executor();
         // Steal-to-wait: run pending work instead of parking, when the
         // helping config, the eligibility gate, and the nesting bounds all
@@ -769,6 +800,23 @@ impl<T: Send + Sync + 'static, X: Send + Sync + 'static> Promise<T, X> {
             Unblock(ex)
         });
         self.inner.block(deadline)
+    }
+}
+
+impl<T, X> Promise<T, X> {
+    /// Exclusive access to the value of a fulfilled promise nobody else
+    /// holds: `None` while another handle exists (typed or erased, a ledger
+    /// entry included), while the promise is unfulfilled, and after an
+    /// exceptional completion.  For payloads that link to further promises
+    /// (a channel's cells) and must unhook the link before they die, so a
+    /// long chain is not torn down by recursion.
+    #[doc(hidden)]
+    pub fn value_mut(&mut self) -> Option<&mut T> {
+        PoolArc::get_mut(&mut self.inner)?
+            .cell
+            .get_mut()?
+            .as_mut()
+            .ok()
     }
 }
 
@@ -868,7 +916,8 @@ mod tests {
 
         // finish the root before switching contexts on the same thread
         drop(_root);
-        let ctx2 = Context::new(PolicyConfig::verified().with_capture_names(false));
+        // The unverified baseline keeps no names.
+        let ctx2 = Context::new_unverified();
         let _root2 = ctx2.root_task(None);
         let q = Promise::<i32>::with_name("ignored");
         assert_eq!(q.name(), None);

@@ -21,6 +21,7 @@ use std::cell::RefCell;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
+use crate::arena::SlotArena;
 use crate::cancel::CancelToken;
 use crate::collection::TransferList;
 use crate::context::Context;
@@ -31,11 +32,12 @@ use crate::ownership;
 use crate::policy::LedgerMode;
 use crate::pool_arc::ErasedPromiseRef;
 use crate::refs::PackedRef;
+use crate::slots::PromiseSlot;
 
 /// Lazy-ledger prune watermark floor: a sweep is considered (and the
 /// watermark re-armed) only once the ledger holds at least this many
 /// entries, so small ledgers never pay for pruning at all.
-const LEDGER_PRUNE_MIN: usize = 8;
+pub(crate) const LEDGER_PRUNE_MIN: usize = 8;
 
 /// The owned-promise ledger of one task (`owner⁻¹(t)` in the paper).
 ///
@@ -65,9 +67,31 @@ pub(crate) enum Ledger {
         /// completion cell until its own exit — unbounded memory and a
         /// fresh block per spawn instead of recycling.
         prune_at: usize,
+        /// Lazy mode only: how many entries this task has given up (set, or
+        /// transferred to a child) since the last sweep — the only way an
+        /// entry of its own ledger goes stale, so this counts the stale
+        /// entries.  Drives [`Ledger::sweep_if_stale`].
+        released: u32,
     },
     /// Only a count of owned promises is maintained.
     Count(usize),
+}
+
+/// Whether ledger entry `e` of the task in `owner_slot` is still that task's
+/// obligation: unfulfilled, and not transferred away.  Lazy ledgers keep
+/// entries past both events (§6.2), so every reader of one — the prune
+/// sweeps, the helping gate, the exit check — filters with this.
+pub(crate) fn is_live_obligation(
+    e: &ErasedPromiseRef,
+    promises: &SlotArena<PromiseSlot>,
+    owner_slot: PackedRef,
+) -> bool {
+    if e.is_fulfilled() {
+        return false;
+    }
+    // SAFETY: the ledger entry `e` keeps the occupancy live.
+    let owner = unsafe { promises.read_live(e.slot(), |s| s.owner()) }.unwrap_or(PackedRef::NULL);
+    owner == owner_slot
 }
 
 impl Ledger {
@@ -80,11 +104,13 @@ impl Ledger {
                 entries: TransferList::new(),
                 eager: false,
                 prune_at: LEDGER_PRUNE_MIN,
+                released: 0,
             },
             LedgerMode::Eager => Ledger::List {
                 entries: TransferList::new(),
                 eager: true,
                 prune_at: usize::MAX,
+                released: 0,
             },
             LedgerMode::CountOnly => Ledger::Count(0),
         }
@@ -98,32 +124,33 @@ impl Ledger {
     pub(crate) fn append(
         &mut self,
         promise: ErasedPromiseRef,
-        promises: &crate::arena::SlotArena<crate::slots::PromiseSlot>,
+        promises: &SlotArena<PromiseSlot>,
         owner_slot: PackedRef,
     ) {
+        if matches!(self, Ledger::List { entries, prune_at, .. } if entries.len() >= *prune_at) {
+            self.sweep(promises, owner_slot);
+        }
         match self {
             Ledger::Disabled => {}
-            Ledger::List {
-                entries,
-                eager: _,
-                prune_at,
-            } => {
-                if entries.len() >= *prune_at {
-                    entries.retain(|e| {
-                        if e.is_fulfilled() {
-                            return false;
-                        }
-                        // SAFETY: the ledger entry `e` keeps the occupancy
-                        // live.
-                        let owner = unsafe { promises.read_live(e.slot(), |s| s.owner()) }
-                            .unwrap_or(PackedRef::NULL);
-                        owner == owner_slot
-                    });
-                    *prune_at = (entries.len() * 2).max(LEDGER_PRUNE_MIN);
-                }
-                entries.push(promise);
-            }
+            Ledger::List { entries, .. } => entries.push(promise),
             Ledger::Count(n) => *n += 1,
+        }
+    }
+
+    /// Drops the stale entries of a lazy ledger — fulfilled, or owned by
+    /// another task: exactly what the exit check skips, so removing them
+    /// early is observationally equivalent — and re-arms both sweep triggers.
+    fn sweep(&mut self, promises: &SlotArena<PromiseSlot>, owner_slot: PackedRef) {
+        if let Ledger::List {
+            entries,
+            prune_at,
+            released,
+            ..
+        } = self
+        {
+            entries.retain(|e| is_live_obligation(e, promises, owner_slot));
+            *prune_at = (entries.len() * 2).max(LEDGER_PRUNE_MIN);
+            *released = 0;
         }
     }
 
@@ -132,16 +159,52 @@ impl Ledger {
     pub(crate) fn release(&mut self, id: PromiseId) {
         match self {
             Ledger::Disabled => {}
-            Ledger::List { entries, eager, .. } => {
+            Ledger::List {
+                entries,
+                eager,
+                released,
+                ..
+            } => {
                 if *eager {
                     let pos = entries.iter().position(|e| e.id() == id);
                     if let Some(pos) = pos {
                         entries.swap_remove(pos);
                     }
+                } else {
+                    // Lazy mode: the entry stays until a sweep; the exit
+                    // check re-reads owners.
+                    *released = released.saturating_add(1);
                 }
-                // Lazy mode: nothing to do, the exit check re-reads owners.
             }
             Ledger::Count(n) => *n = n.saturating_sub(1),
+        }
+    }
+
+    /// Sweeps a lazy ledger once at least `min_released` of its entries, and
+    /// at least half of them, are stale.
+    ///
+    /// The append-triggered sweep alone never runs for a task that stops
+    /// creating promises: a parent that spawns and then only joins would
+    /// keep every entry it transferred away until its own exit, and an
+    /// entry for a channel's first cell keeps the whole chain of cells
+    /// behind it.  So the two places a ledger goes stale without growing
+    /// check as well: a task about to park (`min_released` 1 — it is off the
+    /// fast path, and what it pins it pins for the whole wait), and a spawn
+    /// that has just transferred promises away ([`LEDGER_PRUNE_MIN`], so
+    /// small ledgers pay nothing per spawn).  The one-half rule keeps the
+    /// cost amortized O(1) per released entry — a task holding many live
+    /// obligations does not re-walk them each time — and an unchanged
+    /// ledger is never walked twice.
+    pub(crate) fn sweep_if_stale(
+        &mut self,
+        min_released: u32,
+        promises: &SlotArena<PromiseSlot>,
+        owner_slot: PackedRef,
+    ) {
+        if matches!(self, Ledger::List { entries, released, .. }
+            if *released >= min_released && *released as usize * 2 >= entries.len())
+        {
+            self.sweep(promises, owner_slot);
         }
     }
 
@@ -161,6 +224,9 @@ impl Ledger {
 pub(crate) struct TaskBody {
     pub(crate) ctx: Arc<Context>,
     pub(crate) id: TaskId,
+    /// Always a plain string (only promises get derived names), and the
+    /// body travels inside the spawn's 256-byte job record, which has no
+    /// room for a structured [`Name`](crate::Name).
     pub(crate) name: Option<Arc<str>>,
     /// The task's slot in the context's task arena ([`PackedRef::NULL`] when
     /// ownership tracking is disabled).
@@ -191,8 +257,9 @@ pub(crate) struct TaskBody {
 }
 
 impl TaskBody {
-    /// Allocates the arena slot (when tracking) and builds the body.
-    pub(crate) fn create(ctx: &Arc<Context>, name: Option<&str>) -> TaskBody {
+    /// Allocates the arena slot (when tracking) and builds the body.  `name`
+    /// runs only in a context that captures names.
+    pub(crate) fn create(ctx: &Arc<Context>, name: impl FnOnce() -> Option<Arc<str>>) -> TaskBody {
         let id = ctx.next_task_id();
         let tracks = ctx.config().mode.tracks_ownership();
         let slot = if tracks {
@@ -208,8 +275,8 @@ impl TaskBody {
         } else {
             PackedRef::NULL
         };
-        let name = if ctx.config().capture_names {
-            name.map(Arc::from)
+        let name = if ctx.config().mode.captures_names() {
+            name()
         } else {
             None
         };
@@ -369,23 +436,24 @@ pub(crate) fn current_task_may_help(ctx: &Arc<Context>) -> bool {
             return false;
         }
         match &b.ledger {
-            Ledger::List { entries, .. } => {
-                let owner_slot = b.slot;
-                entries.iter().all(|e| {
-                    if e.id() == b.exempt_completion || e.is_fulfilled() {
-                        return true;
-                    }
-                    // SAFETY: the ledger entry `e` keeps the occupancy live.
-                    let owner = unsafe { b.ctx.promises.read_live(e.slot(), |s| s.owner()) }
-                        .unwrap_or(PackedRef::NULL);
-                    // Transferred away (owner re-read differs) → not ours.
-                    owner != owner_slot
-                })
-            }
+            Ledger::List { entries, .. } => entries.iter().all(|e| {
+                e.id() == b.exempt_completion || !is_live_obligation(e, &b.ctx.promises, b.slot)
+            }),
             Ledger::Disabled | Ledger::Count(_) => false,
         }
     })
     .unwrap_or(false)
+}
+
+/// Gives the current task's ledger its pre-park sweep
+/// ([`Ledger::sweep_if_stale`]) if the task belongs to `ctx`.  Called by
+/// a blocking promise wait once it knows it cannot return at once.
+pub(crate) fn sweep_ledger_before_park(ctx: &Context) {
+    with_current_body(|b| {
+        if std::ptr::eq(Arc::as_ptr(&b.ctx), ctx as *const Context) {
+            b.ledger.sweep_if_stale(1, &b.ctx.promises, b.slot);
+        }
+    });
 }
 
 /// A task that has been created — and has already received ownership of its
@@ -666,7 +734,7 @@ impl Context {
             "a task is already active on this thread; a root task must be the first"
         );
         self.counters().record_task_spawned();
-        let mut body = TaskBody::create(self, name.or(Some("root")));
+        let mut body = TaskBody::create(self, || Some(Arc::from(name.unwrap_or("root"))));
         body.is_root = true;
         let id = body.id;
         let name = body.name.clone();
@@ -822,6 +890,89 @@ mod tests {
             abandoned.get(),
             Err(crate::PromiseError::OmittedSet(_))
         ));
+    }
+
+    /// A task that stops creating promises still lets go of what it gave
+    /// away: a wait that cannot return at once sweeps the ledger before it
+    /// parks, once at least half of the entries are stale — not while fewer
+    /// are, and not again until something else is released.
+    #[test]
+    fn lazy_ledger_is_swept_when_its_task_parks() {
+        use std::time::Duration;
+        // This test holds pooled promise cells across timed waits; keep it
+        // out of the way of the tests that watch the block pool settle.
+        let _guard = crate::test_support::pool::pool_serial();
+        let recorded = || with_current_body(|b| b.ledger.recorded_len()).unwrap();
+        let park = |on: &crate::Promise<u8>| {
+            assert!(on.get_timeout(Duration::from_millis(1)).is_err());
+        };
+        let ctx = Context::new_verified();
+        let root = ctx.root_task(None);
+        let new = crate::Promise::<u8>::new;
+        let kept: Vec<_> = (0..3).map(|_| new()).collect();
+        let moved: Vec<_> = (0..4).map(|_| new()).collect();
+        let handles = moved.iter().map(|p| p.as_erased()).collect::<Vec<_>>();
+        let child = ownership::prepare_task(None, handles).unwrap();
+        assert_eq!(recorded(), 7, "four stale: too few to sweep at a spawn");
+
+        park(&kept[2]);
+        assert_eq!(recorded(), 3, "four stale of seven: swept down to `kept`");
+        // Setting is the other way to give an entry up.
+        kept[0].set(0).unwrap();
+        park(&kept[2]);
+        assert_eq!(recorded(), 3, "one stale of three: left for later");
+        kept[1].set(0).unwrap();
+        park(&kept[2]);
+        assert_eq!(recorded(), 1, "two of three: swept");
+        // Nothing released since: the ledger is not walked again.
+        park(&kept[2]);
+        assert_eq!(recorded(), 1);
+
+        kept[2].set(0).unwrap();
+        std::thread::spawn(move || {
+            let scope = child.activate();
+            for p in &moved {
+                p.set(1).unwrap();
+            }
+            scope.finish()
+        })
+        .join()
+        .unwrap();
+        assert!(root.finish().is_none());
+        assert_eq!(ctx.alarm_count(), 0);
+    }
+
+    /// A spawn that leaves at least half of a ledger stale, and at least
+    /// `LEDGER_PRUNE_MIN` entries, sweeps it on the spot: what the parent
+    /// handed out is not pinned until it next parks.
+    #[test]
+    fn lazy_ledger_is_swept_by_a_spawn_that_hands_out_most_of_it() {
+        let _guard = crate::test_support::pool::pool_serial();
+        let recorded = || with_current_body(|b| b.ledger.recorded_len()).unwrap();
+        let ctx = Context::new_verified();
+        let root = ctx.root_task(None);
+        let new = crate::Promise::<u8>::new;
+        let kept: Vec<_> = (0..6).map(|_| new()).collect();
+        let moved: Vec<_> = (0..10).map(|_| new()).collect();
+        assert_eq!(recorded(), 16);
+        let handles = moved.iter().map(|p| p.as_erased()).collect::<Vec<_>>();
+        let child = ownership::prepare_task(None, handles).unwrap();
+        assert_eq!(recorded(), 6, "ten stale of sixteen: swept down to `kept`");
+
+        for p in &kept {
+            p.set(0).unwrap();
+        }
+        std::thread::spawn(move || {
+            let scope = child.activate();
+            for p in &moved {
+                p.set(1).unwrap();
+            }
+            scope.finish()
+        })
+        .join()
+        .unwrap();
+        assert!(root.finish().is_none());
+        assert_eq!(ctx.alarm_count(), 0);
     }
 
     #[test]

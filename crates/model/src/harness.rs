@@ -286,9 +286,10 @@ fn deadlock_latency(events: &[EventRecord], gp: &GeneratedProgram) -> Option<u64
         .iter()
         .filter(|e| e.kind == EventKind::Get && e.ts_ns <= alarm_ts)
         .filter(|e| {
-            e.promise_name
-                .as_deref()
-                .is_some_and(|n| ring_names.iter().any(|r| r == n))
+            e.promise_name.as_ref().is_some_and(|n| {
+                let name = n.render();
+                ring_names.iter().any(|r| **r == *name)
+            })
         })
         .map(|e| e.ts_ns)
         .max()?;

@@ -264,10 +264,6 @@ impl RuntimeBuilder {
     /// Sets the verification mode (baseline / ownership-only / full).
     pub fn verification(mut self, mode: VerificationMode) -> Self {
         self.policy.mode = mode;
-        // The unverified baseline of the evaluation also skips name capture.
-        if mode == VerificationMode::Unverified {
-            self.policy.capture_names = false;
-        }
         self
     }
 
@@ -280,12 +276,6 @@ impl RuntimeBuilder {
     /// Sets the reaction to omitted sets.
     pub fn omitted_set(mut self, action: OmittedSetAction) -> Self {
         self.policy.omitted_set = action;
-        self
-    }
-
-    /// Enables or disables task/promise name capture.
-    pub fn capture_names(mut self, capture: bool) -> Self {
-        self.policy.capture_names = capture;
         self
     }
 

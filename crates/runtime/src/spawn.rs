@@ -41,6 +41,10 @@
 //! global-allocator call at all** once the magazines and queues are warm;
 //! the `zero_alloc_spawn` integration test pins this with a counting global
 //! allocator, and the `spawn_path` benches report the allocation counts.
+//! A *named* spawn makes exactly one — its name, which the task and its
+//! completion promise `name::completion` share
+//! ([`Name::Completion`](promise_core::Name)); `promise-sync`'s
+//! `alloc_budget` test pins that.
 //!
 //! ## Why recycling can never resurrect a retired task's completion promise
 //!
@@ -101,7 +105,7 @@ use std::sync::Arc;
 use promise_core::ownership;
 use promise_core::task::{self, PreparedTask};
 use promise_core::{
-    collect_promises, CancelToken, Job, Promise, PromiseCollection, PromiseError, ResultSlot,
+    collect_promises, CancelToken, Job, Name, Promise, PromiseCollection, PromiseError, ResultSlot,
 };
 
 use crate::handle::{CompletionPromise, TaskHandle};
@@ -131,20 +135,23 @@ pub(crate) fn prepare_spawn<R: Send + 'static>(
 > {
     let ctx = task::current_context().ok_or(PromiseError::NoCurrentTask { operation: "spawn" })?;
 
+    // A named spawn interns its name once; the task and its completion
+    // promise share the string.
+    let task_name: Option<Arc<str>> = name
+        .filter(|_| ctx.config().mode.captures_names())
+        .map(Arc::from);
+
     // The implicit join promise of §2.1: created by the parent, transferred
     // to (and eventually fulfilled by) the child.  The typed result slot is
-    // fused into the same allocation.  Only named spawns pay for a label.
-    let completion: CompletionPromise<R> = match name.filter(|_| ctx.config().capture_names) {
-        Some(task_name) => {
-            let label = format!("{task_name}::completion");
-            Promise::try_new_with(Some(&label), ResultSlot::new())?
-        }
-        None => Promise::try_new_with(None, ResultSlot::new())?,
-    };
+    // fused into the same allocation.
+    let completion: CompletionPromise<R> = Promise::try_new_named(
+        || task_name.clone().map(Name::Completion),
+        ResultSlot::new(),
+    )?;
 
     let mut list = collect_promises(transfers);
     list.push(completion.as_erased());
-    let mut prepared = match ownership::prepare_task(name, list) {
+    let mut prepared = match ownership::prepare_task_named(|| task_name, list) {
         Ok(prepared) => prepared,
         Err(err) => {
             // The transfer was refused, so no child exists to ever fulfil

@@ -24,7 +24,7 @@
 
 use std::sync::Arc;
 
-use promise_core::{Promise, PromiseCollection, PromiseError, TransferList};
+use promise_core::{Name, Promise, PromiseCollection, PromiseError, TransferList};
 
 struct BarrierState {
     /// `arrivals[round][participant]`
@@ -59,7 +59,14 @@ impl AllToAllBarrier {
         let arrivals = (0..rounds)
             .map(|r| {
                 (0..participants)
-                    .map(|i| Promise::with_name(&format!("barrier[r{r},p{i}]")))
+                    .map(|i| {
+                        // The name is formatted only where names are kept.
+                        let name = || Some(Name::Plain(format!("barrier[r{r},p{i}]").into()));
+                        Promise::try_new_named(name, ()).expect(
+                            "a barrier requires a current task; run inside Runtime::block_on / \
+                             a spawned task",
+                        )
+                    })
                     .collect()
             })
             .collect();

@@ -12,11 +12,18 @@
 //!   value;
 //! * `stop()` fulfils the producer cell with an end-of-stream marker.
 //!
-//! Performance: a `recv` from a non-empty channel reads an already-set cell
-//! promise, which the lock-free payload cell serves with one acquire load.
-//! The channel's own `producer`/`consumer` mutexes stay: they guard *which
-//! promise is current* (advancing the chain head/tail), not the payload, and
-//! deliberately serialise competing receivers on one end.
+//! Performance: a `send` takes the `producer` lock once — creating the next
+//! cell, fulfilling the current one and advancing the tail all happen under
+//! it — and a `recv` takes the `consumer` lock once and reads an already-set
+//! cell with one acquire load.  The two locks guard *which promise is
+//! current* (the chain's head and tail), not the payload, and deliberately
+//! serialise competing receivers on one end.  Under them a message costs one
+//! promise create, set and get: the cell record comes from the recycled
+//! refcount-block pool and its arena slot from the worker's magazine, so in
+//! steady state a message makes **no allocator call**, named channel or not.
+//! A labelled channel allocates its label once, in `with_name`; cell *n* is
+//! named by the pair (label, *n*) and the text `label[n]` is written only if
+//! an alarm or the event log reads it.
 //!
 //! Ownership: the sender always owns exactly one unfulfilled promise — the
 //! current producer cell.  The channel implements
@@ -30,34 +37,73 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use promise_core::{Promise, PromiseCollection, PromiseError, TransferList};
+use promise_core::{Name, Promise, PromiseCollection, PromiseError, TransferList};
 
 /// One cell of the channel's promise chain.
 enum Cell<T> {
     /// A value plus the promise that will carry the following cell.
-    Item(T, Promise<Cell<T>>),
+    Item(T, Next<T>),
     /// End of stream.
     Closed,
 }
 
+/// A cell's link to its successor: the promise, until the link is followed
+/// ([`Next::into_promise`]) or unhooked by the drop below.
+struct Next<T>(Option<Promise<Cell<T>>>);
+
+impl<T> Next<T> {
+    fn into_promise(mut self) -> Promise<Cell<T>> {
+        self.0.take().expect("only a dying link is empty")
+    }
+}
+
+/// Each cell's payload holds the next cell, so letting go of the first cell
+/// of an unreceived chain the obvious way recurses once per message and
+/// overflows the stack on a long one.  Walk instead: a successor nobody else
+/// holds has its own link unhooked before it dies, so its death stops there.
+/// The walk ends at the first cell someone else still holds (the channel's
+/// other end, a receiver's clone, a task ledger's entry) and starts again
+/// when that holder lets go, so it does not matter who holds a chain last.
+impl<T> Drop for Next<T> {
+    fn drop(&mut self) {
+        let mut link = self.0.take();
+        while let Some(mut successor) = link {
+            link = match successor.value_mut() {
+                Some(Cell::Item(_, next)) => next.0.take(),
+                _ => None,
+            };
+        }
+    }
+}
+
+// A cell of a channel of word-sized values fits one recycled pool block, so
+// sending one allocates nothing.
+const _: () = assert!(Promise::<Cell<u64>>::fits_pool_block());
+
 impl<T: Clone> Clone for Cell<T> {
     fn clone(&self) -> Self {
         match self {
-            Cell::Item(v, next) => Cell::Item(v.clone(), next.clone()),
+            Cell::Item(v, next) => Cell::Item(v.clone(), Next(next.0.clone())),
             Cell::Closed => Cell::Closed,
         }
     }
 }
 
-struct ChannelState<T> {
+/// The sending end: what the `producer` lock guards.
+struct Producer<T> {
     /// The promise the next `send`/`stop` will fulfil.
-    producer: Mutex<Promise<Cell<T>>>,
+    cell: Promise<Cell<T>>,
+    /// How many cells `send` has created after the first; the next one's
+    /// index in the channel's names.
+    sent: u64,
+}
+
+struct ChannelState<T: Clone + Send + Sync + 'static> {
+    producer: Mutex<Producer<T>>,
     /// The promise the next `recv` will read.
     consumer: Mutex<Promise<Cell<T>>>,
-    /// Optional label used for the underlying promises' names.
-    label: Option<String>,
-    /// Monotone counter naming successive cells (diagnostics only).
-    sent: Mutex<u64>,
+    /// Optional label, shared by the names of all the channel's cells.
+    label: Option<Arc<str>>,
 }
 
 /// A multi-shot, promise-backed channel (Listing 4 of the paper).
@@ -96,53 +142,52 @@ impl<T: Clone + Send + Sync + 'static> Channel<T> {
     }
 
     fn build(label: Option<&str>) -> Self {
-        let first = match label {
-            Some(l) => Promise::with_name(&format!("{l}[0]")),
-            None => Promise::new(),
-        };
+        let label: Option<Arc<str>> = label.map(Arc::from);
+        let first = Self::cell_promise(label.as_ref(), 0);
         Channel {
             state: Arc::new(ChannelState {
-                producer: Mutex::new(first.clone()),
+                producer: Mutex::new(Producer {
+                    cell: first.clone(),
+                    sent: 0,
+                }),
                 consumer: Mutex::new(first),
-                label: label.map(|s| s.to_string()),
-                sent: Mutex::new(0),
+                label,
             }),
         }
     }
 
-    fn fresh_cell_promise(&self) -> Promise<Cell<T>> {
-        let mut sent = self.state.sent.lock();
-        *sent += 1;
-        match &self.state.label {
-            Some(l) => Promise::with_name(&format!("{l}[{}]", *sent)),
-            None => Promise::new(),
-        }
+    /// Creates cell `index`, owned by the current task.
+    fn cell_promise(label: Option<&Arc<str>>, index: u64) -> Promise<Cell<T>> {
+        Promise::try_new_named(|| label.map(|l| Name::Indexed(Arc::clone(l), index)), ()).expect(
+            "a channel requires a current task; run inside Runtime::block_on / a spawned task",
+        )
     }
 
     /// Sends a value.  Fails if the calling task does not own the sending end
     /// (ownership policy) or the channel has been stopped.
     pub fn send(&self, value: T) -> Result<(), PromiseError> {
+        let mut producer = self.state.producer.lock();
         // Allocate the next cell first (Listing 4 line 19): the new promise
         // is owned by the sending task, which thereby keeps exactly one
         // outstanding obligation — the tail of the stream.
-        let next = self.fresh_cell_promise();
-        let mut producer = self.state.producer.lock();
-        if let Err(e) = producer.set(Cell::Item(value, next.clone())) {
+        producer.sent += 1;
+        let next = Self::cell_promise(self.state.label.as_ref(), producer.sent);
+        let item = Cell::Item(value, Next(Some(next.clone())));
+        if let Err(e) = producer.cell.set(item) {
             // The send was refused (not the owner / already stopped).  The
             // speculatively allocated tail promise belongs to the caller and
             // would otherwise linger as a bogus obligation; retire it.
             let _ = next.set(Cell::Closed);
             return Err(e);
         }
-        *producer = next;
+        producer.cell = next;
         Ok(())
     }
 
     /// Closes the channel: receivers see end-of-stream after all previously
     /// sent values.  Fails if the calling task does not own the sending end.
     pub fn stop(&self) -> Result<(), PromiseError> {
-        let producer = self.state.producer.lock();
-        producer.set(Cell::Closed)
+        self.state.producer.lock().cell.set(Cell::Closed)
     }
 
     /// Receives the next value, blocking until one is available.  Returns
@@ -157,7 +202,7 @@ impl<T: Clone + Send + Sync + 'static> Channel<T> {
         let cell = consumer.get()?;
         match cell {
             Cell::Item(value, next) => {
-                *consumer = next;
+                *consumer = next.into_promise();
                 Ok(Some(value))
             }
             Cell::Closed => Ok(None),
@@ -172,7 +217,7 @@ impl<T: Clone + Send + Sync + 'static> Channel<T> {
             None => Ok(None),
             Some(Err(e)) => Err(e),
             Some(Ok(Cell::Item(value, next))) => {
-                *consumer = next;
+                *consumer = next.into_promise();
                 Ok(Some(Some(value)))
             }
             Some(Ok(Cell::Closed)) => Ok(Some(None)),
@@ -190,12 +235,12 @@ impl<T: Clone + Send + Sync + 'static> Channel<T> {
 
     /// Number of values sent so far (diagnostics).
     pub fn sent_count(&self) -> u64 {
-        *self.state.sent.lock()
+        self.state.producer.lock().sent
     }
 
     /// The channel's label, if any.
     pub fn label(&self) -> Option<String> {
-        self.state.label.clone()
+        self.state.label.as_deref().map(str::to_owned)
     }
 }
 
@@ -209,7 +254,7 @@ impl<T: Clone + Send + Sync + 'static> PromiseCollection for Channel<T> {
     /// Moving a channel moves its *current producer promise* — i.e. the
     /// responsibility for the sending end (Listing 4, `getPromises`).
     fn append_promises(&self, out: &mut TransferList) {
-        out.push(self.state.producer.lock().as_erased());
+        out.push(self.state.producer.lock().cell.as_erased());
     }
 }
 
@@ -274,6 +319,13 @@ mod tests {
             // omitted set instead of blocking forever.
             let err = ch.recv().unwrap_err();
             assert!(matches!(err, PromiseError::OmittedSet(_)));
+            // The report names cell 1 of the labelled channel and the
+            // producer, byte for byte as it always has.
+            assert_eq!(
+                err.to_string(),
+                "omitted set: lazy-producer(task#2) terminated while still owning 1 unfulfilled \
+                 promise(s): abandoned[1](promise#3)"
+            );
             assert!(h.join().is_err());
         })
         .unwrap();

@@ -24,7 +24,7 @@
 
 use std::sync::Arc;
 
-use promise_core::{Promise, PromiseCollection, PromiseError, TransferList};
+use promise_core::{Name, Promise, PromiseCollection, PromiseError, TransferList};
 
 struct CombinerState<V: Clone + Send + Sync + 'static> {
     /// `contributions[round][worker]`
@@ -37,6 +37,12 @@ struct CombinerState<V: Clone + Send + Sync + 'static> {
 /// A multi-round all-to-one combiner with broadcast.
 pub struct Combiner<V: Clone + Send + Sync + 'static> {
     state: Arc<CombinerState<V>>,
+}
+
+/// A promise whose name is formatted only where names are kept.
+fn named<T: Send + Sync + 'static>(name: impl FnOnce() -> String) -> Promise<T> {
+    Promise::try_new_named(|| Some(Name::Plain(name().into())), ())
+        .expect("a combiner requires a current task; run inside Runtime::block_on / a spawned task")
 }
 
 impl<V: Clone + Send + Sync + 'static> Clone for Combiner<V> {
@@ -56,12 +62,12 @@ impl<V: Clone + Send + Sync + 'static> Combiner<V> {
         let contributions = (0..rounds)
             .map(|r| {
                 (0..workers)
-                    .map(|i| Promise::with_name(&format!("contrib[r{r},w{i}]")))
+                    .map(|i| named(|| format!("contrib[r{r},w{i}]")))
                     .collect()
             })
             .collect();
         let results = (0..rounds)
-            .map(|r| Promise::with_name(&format!("combined[r{r}]")))
+            .map(|r| named(|| format!("combined[r{r}]")))
             .collect();
         Combiner {
             state: Arc::new(CombinerState {
