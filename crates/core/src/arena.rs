@@ -1387,6 +1387,7 @@ mod tests {
     /// live sampling used to under-report by up to [`MAG_REFILL`].
     #[test]
     fn peak_live_underreport_is_bounded_by_one_refill_batch() {
+        let _workers = crate::test_support::pool::worker_serial();
         let arena: SlotArena<TestCell> = SlotArena::new();
         let _worker = crate::counters::register_worker();
         // First alloc refills (samples at live == 0), then `extra` more
@@ -1435,6 +1436,7 @@ mod tests {
 
     #[test]
     fn magazine_path_allocates_and_recycles() {
+        let _workers = crate::test_support::pool::worker_serial();
         let arena: SlotArena<TestCell> = SlotArena::new();
         let _worker = crate::counters::register_worker();
         let refs: Vec<_> = (0..(MAG_CAP * 3)).map(|_| arena.alloc()).collect();
@@ -1457,6 +1459,7 @@ mod tests {
 
     #[test]
     fn release_worker_shard_returns_cached_slots_to_global() {
+        let _workers = crate::test_support::pool::worker_serial();
         let arena: Arc<SlotArena<TestCell>> = Arc::new(SlotArena::new());
         let arena2 = Arc::clone(&arena);
         std::thread::spawn(move || {
@@ -1480,6 +1483,7 @@ mod tests {
 
     #[test]
     fn global_only_arena_ignores_worker_registration() {
+        let _workers = crate::test_support::pool::worker_serial();
         let arena: SlotArena<TestCell> = SlotArena::new_global_only();
         let _worker = crate::counters::register_worker();
         let r = arena.alloc();

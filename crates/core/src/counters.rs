@@ -706,6 +706,7 @@ mod tests {
 
     #[test]
     fn registered_workers_land_in_shards_and_snapshots_sum_them() {
+        let _workers = crate::test_support::pool::worker_serial();
         let c = std::sync::Arc::new(Counters::new());
         let threads: Vec<_> = (0..4)
             .map(|_| {
@@ -731,6 +732,7 @@ mod tests {
 
     #[test]
     fn non_lifo_guard_drops_never_leave_a_dead_token() {
+        let _workers = crate::test_support::pool::worker_serial();
         // drop(a) while b is live releases a's registration; drop(b) must
         // not restore a's now-dead token (a thread carrying a dead token
         // could alias a recycled magazine claim in the arena).
@@ -756,6 +758,7 @@ mod tests {
 
     #[test]
     fn worker_registration_is_scoped_and_nestable() {
+        let _workers = crate::test_support::pool::worker_serial();
         let c = Counters::new();
         let outer = register_worker();
         c.record_get();

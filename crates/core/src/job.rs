@@ -370,7 +370,7 @@ mod tests {
     use std::sync::atomic::AtomicUsize;
     use std::sync::Arc;
 
-    use crate::test_support::pool::{assert_outstanding_settles_to, pool_serial};
+    use crate::test_support::pool::{assert_outstanding_settles_to, pool_serial, worker_serial};
 
     #[test]
     fn run_executes_the_closure_once() {
@@ -426,6 +426,7 @@ mod tests {
     #[test]
     fn registered_worker_recycles_blocks_through_its_magazine() {
         let _guard = pool_serial();
+        let _workers = worker_serial();
         let before = job_pool_stats().outstanding;
         std::thread::spawn(move || {
             let _worker = counters::register_worker();
@@ -449,6 +450,7 @@ mod tests {
         // Jobs created on one registered worker and run on another must not
         // corrupt either magazine; accounting stays balanced.
         let _guard = pool_serial();
+        let _workers = worker_serial();
         let before = job_pool_stats().outstanding;
         let (tx, rx) = std::sync::mpsc::channel::<Job>();
         let consumer = std::thread::spawn(move || {

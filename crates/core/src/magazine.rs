@@ -424,6 +424,7 @@ impl<T: Copy + Send> MagazinePool<T> {
 mod tests {
     use super::*;
     use crate::test_support::interleave::KitBackend;
+    use crate::test_support::pool::worker_serial;
     use std::sync::Arc;
 
     #[test]
@@ -440,6 +441,7 @@ mod tests {
 
     #[test]
     fn registered_worker_allocates_and_recycles_through_its_magazine() {
+        let _workers = worker_serial();
         let pool: MagazinePool<u32> = MagazinePool::new();
         let backend = KitBackend::default();
         let _worker = counters::register_worker();
@@ -469,6 +471,7 @@ mod tests {
 
     #[test]
     fn flush_current_worker_returns_everything_to_the_backend() {
+        let _workers = worker_serial();
         let pool: Arc<MagazinePool<u32>> = Arc::new(MagazinePool::new());
         let backend = Arc::new(KitBackend::default());
         let (p2, b2) = (Arc::clone(&pool), Arc::clone(&backend));
@@ -490,6 +493,7 @@ mod tests {
 
     #[test]
     fn dead_workers_magazine_is_adopted_with_its_contents() {
+        let _workers = worker_serial();
         let pool: Arc<MagazinePool<u32>> = Arc::new(MagazinePool::new());
         let backend = Arc::new(KitBackend::default());
         let (p2, b2) = (Arc::clone(&pool), Arc::clone(&backend));
@@ -531,6 +535,7 @@ mod tests {
 
     #[test]
     fn residual_tracks_unsampled_peak_excursions() {
+        let _workers = worker_serial();
         let pool: MagazinePool<u32> = MagazinePool::new();
         let backend = KitBackend::default();
         let _worker = counters::register_worker();
@@ -554,6 +559,7 @@ mod tests {
 
     #[test]
     fn full_magazine_flushes_its_oldest_half() {
+        let _workers = worker_serial();
         let pool: MagazinePool<u32> = MagazinePool::new();
         let backend = KitBackend::default();
         let _worker = counters::register_worker();

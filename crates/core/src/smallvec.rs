@@ -28,7 +28,7 @@ pub struct SmallVec<T, const N: usize> {
 
 impl<T, const N: usize> SmallVec<T, N> {
     /// Creates an empty list (no heap allocation).
-    pub fn new() -> Self {
+    pub const fn new() -> Self {
         SmallVec {
             len: 0,
             inline: [const { MaybeUninit::uninit() }; N],

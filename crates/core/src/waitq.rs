@@ -92,6 +92,8 @@ use std::time::Instant;
 
 use parking_lot::Mutex;
 
+use crate::smallvec::SmallVec;
+
 /// Size of the process-wide parking table.
 const TABLE_SIZE: usize = 64;
 
@@ -127,14 +129,17 @@ struct Shard {
     /// Threads currently parked (or about to park) on this shard, across
     /// all queues hashing onto it.
     waiters: AtomicUsize,
-    list: Mutex<Vec<Arc<Waiter>>>,
+    /// The first few entries live inline: a shard's first parker must not
+    /// be an allocator call (queues hash onto new shards for as long as a
+    /// process runs, which the spawn path's allocation budget would see).
+    list: Mutex<SmallVec<Arc<Waiter>, 4>>,
 }
 
 impl Shard {
     const fn new() -> Shard {
         Shard {
             waiters: AtomicUsize::new(0),
-            list: Mutex::new(Vec::new()),
+            list: Mutex::new(SmallVec::new()),
         }
     }
 }
@@ -265,7 +270,8 @@ impl WaitQueue {
                 // lock for nothing.
                 if self.me.enrolled.load(Ordering::Relaxed) {
                     let mut list = self.shard.list.lock();
-                    if let Some(i) = list.iter().position(|w| Arc::ptr_eq(w, self.me)) {
+                    let at = list.iter().position(|w| Arc::ptr_eq(w, self.me));
+                    if let Some(i) = at {
                         list.swap_remove(i);
                         self.me.enrolled.store(false, Ordering::Relaxed);
                     }
@@ -320,8 +326,9 @@ impl WaitQueue {
     /// Costs one fence and one relaxed load when nobody waits on this
     /// queue; otherwise the queue's shard window is swept, and within each
     /// non-empty shard exactly the entries keyed to this queue are removed
-    /// and unparked — threads parked on other queues sharing the shard are
-    /// never woken (their entries cost one key compare each).
+    /// (under the shard lock) and unparked (after it is released) — threads
+    /// parked on other queues sharing the shard are never woken (their
+    /// entries cost one key compare each).
     pub fn wake_all(&self) {
         // SC-fence half of the Dekker handshake with `wait_until`: ordered
         // after the caller's state publish, before the count loads.
@@ -336,16 +343,28 @@ impl WaitQueue {
             if shard.waiters.load(Ordering::Relaxed) == 0 {
                 continue;
             }
-            let mut list = shard.list.lock();
-            list.retain(|w| {
+            // Take the matching entries out under the lock, unpark after it
+            // is released: `unpark` is a futex syscall, and a woken thread
+            // that preempts this one would otherwise leave every parker and
+            // waker hashed to the shard queued behind a descheduled lock
+            // holder.  Only the thread handles leave the lock (a refcount
+            // bump each, inline for the common single waiter, so a wake
+            // makes no allocator call); the entries themselves are dropped
+            // under it, which keeps each waiter's cached entry reusable the
+            // moment it wakes.
+            let mut woken: SmallVec<Thread, 4> = SmallVec::new();
+            shard.list.lock().retain(|w| {
                 if w.addr.load(Ordering::Relaxed) == addr {
                     w.enrolled.store(false, Ordering::Relaxed);
-                    w.thread.unpark();
+                    woken.push(w.thread.clone());
                     false
                 } else {
                     true
                 }
             });
+            for thread in woken {
+                thread.unpark();
+            }
         }
     }
 }

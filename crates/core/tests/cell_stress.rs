@@ -105,9 +105,27 @@ fn complete_abandoned_races_set() {
         let root = ctx.root_task(None);
         let p = Promise::<u64>::new();
         let erased = p.as_erased();
+        // Both fillers leave from one starting line, and take turns at
+        // being the one that fires the gun: starting a thread takes far
+        // longer than the jitter, so the set would otherwise win every
+        // round on a quiet box.  Stages: 1 = the abandoner is running,
+        // 2 = so is the setter, 3 = (odd rounds) the abandoner fires.
+        let stage = Arc::new(AtomicUsize::new(0));
+        let wait_for = |stage: &AtomicUsize, at_least: usize| {
+            while stage.load(Ordering::Acquire) < at_least {
+                std::hint::spin_loop();
+            }
+        };
+        let abandoner_fires = round % 2 == 1;
         let abandoner = {
             let mut s = seed ^ round;
+            let stage = Arc::clone(&stage);
             std::thread::spawn(move || {
+                stage.store(1, Ordering::Release);
+                wait_for(&stage, 2);
+                if abandoner_fires {
+                    stage.store(3, Ordering::Release);
+                }
                 jitter(&mut s);
                 erased.complete_abandoned(PromiseError::TaskPanicked {
                     task: promise_core::TaskId(999),
@@ -115,6 +133,11 @@ fn complete_abandoned_races_set() {
                 })
             })
         };
+        wait_for(&stage, 1);
+        stage.store(2, Ordering::Release);
+        if abandoner_fires {
+            wait_for(&stage, 3);
+        }
         let mut s = seed.rotate_right((round % 63) as u32);
         jitter(&mut s);
         let set_result = p.set(round);

@@ -218,6 +218,11 @@ impl Sources {
                 "counter",
             ),
             (
+                "promise_pool_steal_probes_total",
+                pool.steal_probes as u64,
+                "counter",
+            ),
+            (
                 "promise_pool_jobs_helped_total",
                 pool.jobs_helped as u64,
                 "counter",
@@ -473,6 +478,7 @@ fn sampler_loop(
             push_json_field(&mut line, "threads_started", pool.threads_started);
             push_json_field(&mut line, "jobs_executed", pool.jobs_executed);
             push_json_field(&mut line, "jobs_stolen", pool.jobs_stolen);
+            push_json_field(&mut line, "steal_probes", pool.steal_probes);
             push_json_field(&mut line, "jobs_helped", pool.jobs_helped);
             push_json_field(&mut line, "queued_jobs", pool.queued_jobs);
             push_json_field(&mut line, "panics", pool.panics);
@@ -588,6 +594,7 @@ mod tests {
             "promise_tasks_spawned_total",
             "promise_live_tasks",
             "promise_pool_workers",
+            "promise_pool_steal_probes_total",
             "promise_memory_resident_bytes",
             "promise_alarms_total",
         ] {

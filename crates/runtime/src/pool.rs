@@ -93,6 +93,12 @@ pub struct PoolStats {
     /// Jobs executed after being stolen from another worker's local queue
     /// (always 0 for the single-queue [`GrowingPool`]).
     pub jobs_stolen: usize,
+    /// Sibling deques inspected by searches for work — steal sweeps and the
+    /// queue re-checks before a park or a block (always 0 for the
+    /// single-queue [`GrowingPool`]).  A search visits only the deques the
+    /// scheduler's non-empty index marks, so this grows with the work that
+    /// was stealable, not with the number of workers.
+    pub steal_probes: usize,
     /// Jobs run *inline* by a thread whose task was blocked in a promise
     /// `get` — steal-to-wait helping via [`Executor::try_help`].  Each helped
     /// job is also counted in `jobs_executed`; this counter isolates how much
@@ -317,6 +323,7 @@ impl GrowingPool {
             threads_started: state.threads_started,
             jobs_executed: state.jobs_executed,
             jobs_stolen: 0,
+            steal_probes: 0,
             jobs_helped: state.jobs_helped,
             batches_submitted: state.batches_submitted,
             jobs_batch_submitted: state.jobs_batch_submitted,

@@ -34,6 +34,47 @@
 //! [`on_task_unblocked`](Executor::on_task_unblocked), which `Promise::get`
 //! invokes around every park; the count is surfaced in [`PoolStats`].
 //!
+//! ## What a search and a wake-up cost
+//!
+//! Because the pool grows whenever every thread is in use, a runtime can
+//! hold thousands of workers of which a handful have anything queued.
+//! Neither a search nor a local push may cost in proportion to that crowd:
+//!
+//! * **The non-empty-deque index.**  One bit per worker slot
+//!   (`IndexWord`), set by the owning worker before a push makes a job
+//!   visible and cleared by the owner when it sees its own deque empty (the
+//!   one marker protocol, stated at `LocalQueue`).  A steal sweep and
+//!   the two queue re-checks (before a park, before a block) walk the set
+//!   bits and touch only those deques: an empty index costs one load per
+//!   64 slots and no lock, and [`PoolStats::steal_probes`] counts the
+//!   deques actually inspected.
+//! * **One searcher at a time for worker-local pushes.**  `searching`
+//!   counts the workers that consumed a wake-up token and have not found a
+//!   job yet.  A local push (with some sibling parked, so trigger 1 does
+//!   not fire) signals nobody while a token is outstanding or a searcher is
+//!   counted: that searcher's sweep starts, or its re-check runs, after
+//!   the push.  A counted searcher that finds a job and was the last one
+//!   passes the baton — it wakes one more sibling if some worker's deque
+//!   still holds work — so parallelism ramps up one wake at a time instead
+//!   of one futex wake per spawn.  Injector jobs do not count: each was
+//!   signalled for when it was pushed, and a second wake per job sends a
+//!   root fan-out of tiny jobs through the whole parked pool.  A counted
+//!   searcher that finds nothing leaves the count *before* re-checking the
+//!   queues under the park lock, and re-joins it if the re-check finds
+//!   work.
+//!
+//!   The pairing is Dekker's: the pusher publishes (marks its bit, pushes,
+//!   `SeqCst` fence) and then loads `searching`; the searcher leaves
+//!   `searching` (`SeqCst` RMW, fence) and then loads the index.  Either
+//!   the pusher sees the count at zero and signals, or the searcher's
+//!   re-check sees the job and does not park.
+//!
+//!   A skipped signal costs overlap and never progress: the pushing worker
+//!   stays the job's searcher — it pops its own deque LIFO when its task
+//!   returns or helps at a join, and hands the deque to the injector (with
+//!   trigger 2) when it blocks.  External submissions, blocked-worker
+//!   handoffs and both growth triggers signal exactly as before.
+//!
 //! ## Steal-to-wait helping and why it preserves grow-on-block
 //!
 //! A worker whose task blocks in a promise `get` does not park right away:
@@ -71,9 +112,11 @@ mod deque;
 mod injector;
 
 use std::cell::Cell;
+use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{fence, AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, OnceLock};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use parking_lot::{Condvar, Mutex, RwLock};
@@ -149,40 +192,118 @@ impl Default for SchedulerConfig {
     }
 }
 
-/// A worker's local deque plus the owner-side bookkeeping that keeps the
-/// scheduler's non-empty-deque counter accurate.
+/// One word of the non-empty-deque index: bit `b` of the `n`-th word says
+/// that the deque of worker slot `64 * n + b` may hold work (the protocol
+/// is stated at [`LocalQueue`]).
 ///
-/// The counter lets every searcher skip the O(workers) steal scan when no
-/// local deque holds work — the common case, since blocked workers hand
-/// their queues off and parked workers park empty.  The protocol is sound
-/// because only the owner pushes: `marked` is set (and the counter raised)
-/// *before* a push makes a job visible, and cleared only when the owner
-/// observes its deque empty — once empty it stays empty until the owner's
-/// next push.
-struct LocalQueue {
+/// The words form an append-only chain whose first link lives inline in
+/// [`SchedState`], so the index grows with the worker table — 24 bytes per
+/// 64 slots that have existed, nothing for a pool that never passes 64 —
+/// and is read and written without a lock.
+struct IndexWord {
+    bits: AtomicU64,
+    next: OnceLock<Box<IndexWord>>,
+}
+
+impl IndexWord {
+    const fn new() -> IndexWord {
+        IndexWord {
+            bits: AtomicU64::new(0),
+            next: OnceLock::new(),
+        }
+    }
+
+    /// The `n`-th word after this one, appending the words up to it on
+    /// first use.
+    fn nth(&self, n: usize) -> &IndexWord {
+        let mut word = self;
+        for _ in 0..n {
+            word = word.next.get_or_init(|| Box::new(IndexWord::new()));
+        }
+        word
+    }
+
+    /// Calls `visit` with the slot number of each set bit — from slot
+    /// `start` upwards, then wrapping round to the slots below it — until
+    /// it returns `Some`.  Each word is loaded once per pass (`SeqCst`: the
+    /// searcher half of the pairing in the module docs).
+    fn find_from<R>(&self, start: usize, mut visit: impl FnMut(usize) -> Option<R>) -> Option<R> {
+        use std::cmp::Ordering::{Equal, Greater, Less};
+        let (first, below) = (start / 64, (1u64 << (start % 64)) - 1);
+        for wrapped in [false, true] {
+            let mut n = 0;
+            let mut word = Some(self);
+            while let Some(w) = word {
+                let mask = match (wrapped, n.cmp(&first)) {
+                    (false, Less) => 0,
+                    (false, Equal) => !below,
+                    (false, Greater) | (true, Less) => !0,
+                    (true, Equal) => below,
+                    (true, Greater) => break,
+                };
+                let mut bits = match mask {
+                    0 => 0,
+                    _ => w.bits.load(Ordering::SeqCst) & mask,
+                };
+                while bits != 0 {
+                    let slot = n * 64 + bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
+                    if let Some(found) = visit(slot) {
+                        return Some(found);
+                    }
+                }
+                word = w.next.get().map(|next| &**next);
+                n += 1;
+            }
+        }
+        None
+    }
+}
+
+/// A worker's local deque plus the owner-side half of the non-empty-deque
+/// index.
+///
+/// **The marker protocol.**  Only the owner pushes, so only the owner
+/// writes its bit: it sets the bit *before* the push that makes a job
+/// visible and clears it only when it observes its own deque empty — once
+/// empty, the deque stays empty until the owner's next push.  A set bit
+/// therefore means "may hold work" (a thief can empty a marked deque; the
+/// bit stays until the owner next pops), a clear bit means "holds none",
+/// and a searcher that walks the set bits misses no job published before
+/// its walk.  Both writes are one lock-free RMW on a word shared with at
+/// most 63 other workers, and happen only on the empty/non-empty edges —
+/// a push onto a marked deque is the deque's two stores and nothing else.
+struct LocalQueue<'a> {
     deque: WorkerDeque,
-    /// Whether this deque is currently counted in `nonempty_deques`.
+    /// The index word holding this worker's bit, and the bit.
+    word: &'a AtomicU64,
+    bit: u64,
+    /// Whether the bit is currently set.
     marked: Cell<bool>,
 }
 
-impl LocalQueue {
-    fn push(&self, state: &SchedState, job: Job) {
+impl LocalQueue<'_> {
+    fn push(&self, job: Job) {
         if !self.marked.get() {
             self.marked.set(true);
-            state.nonempty_deques.fetch_add(1, Ordering::SeqCst);
+            self.word.fetch_or(self.bit, Ordering::SeqCst);
         }
         self.deque.push(job);
     }
 
-    fn pop(&self, state: &SchedState) -> Option<Job> {
+    fn pop(&self) -> Option<Job> {
         let job = self.deque.pop();
         if self.marked.get() && (job.is_none() || self.deque.is_empty()) {
             self.marked.set(false);
-            state.nonempty_deques.fetch_sub(1, Ordering::SeqCst);
+            self.word.fetch_and(!self.bit, Ordering::SeqCst);
         }
         job
     }
 }
+
+/// Slot argument of a search made by a thread that is not a worker of this
+/// scheduler: it skips no deque and starts the sweep at slot 0.
+const NO_WORKER: usize = usize::MAX;
 
 /// A worker thread's identity, stored thread-locally so that `submit` can
 /// recognise scheduler workers and push to their local deque.
@@ -190,8 +311,10 @@ impl LocalQueue {
 struct WorkerRef {
     /// Identity of the owning scheduler (`Arc::as_ptr` of its state).
     sched: *const (),
-    /// The worker's own queue, alive for the duration of the worker loop.
-    local: *const LocalQueue,
+    /// The worker's own queue, alive for the duration of the worker loop
+    /// (the lifetime is that of the index word it borrows from the
+    /// scheduler state, which the worker thread's `Arc` outlives).
+    local: *const LocalQueue<'static>,
     /// The worker's slot index (injector hint / steal-sweep start).
     idx: usize,
     /// The worker's progress stamp; `worker_entry` holds an `Arc` to it for
@@ -223,10 +346,11 @@ enum WakePolicy {
     /// External submissions and blocked-worker handoffs: always hand out a
     /// wake-up token (capped at one per parked worker).
     GrowIfNoIdle,
-    /// Worker-local pushes: skip the park lock when every parked sibling
-    /// already owes a search — the pushing worker itself also serves as the
-    /// job's searcher (LIFO pop, or hand-off when it blocks), so a missing
-    /// signal costs overlap, never progress.
+    /// Worker-local pushes: signal nobody while a wake-up token is
+    /// outstanding or a woken worker is still searching — the pushing
+    /// worker itself also serves as the job's searcher (LIFO pop, or
+    /// hand-off when it blocks), so a missing signal costs overlap, never
+    /// progress (module docs, "What a search and a wake-up cost").
     NudgeIdle,
 }
 
@@ -271,13 +395,35 @@ pub struct WorkerProgress {
     pub episode: u64,
 }
 
+/// One record per worker slot.  Slots are recycled through
+/// [`SlotTable::free`], so the table is as long as the most workers that
+/// were ever alive at once ([`PoolStats::peak_workers`]), not as the number
+/// of threads ever started.
+struct WorkerSlot {
+    /// The occupant's stealer and progress stamp; `None` once it retired.
+    worker: Option<(Stealer, Arc<WorkerStamp>)>,
+    /// The occupant's join handle.  It outlives the occupant: in a free
+    /// slot it is the retired thread's, joined by whoever reuses the slot
+    /// (or by shutdown), so a retired thread's stack is unmapped when its
+    /// slot turns over instead of at shutdown.
+    handle: Option<JoinHandle<()>>,
+}
+
+#[derive(Default)]
+struct SlotTable {
+    slots: Vec<WorkerSlot>,
+    /// Retired slots available for reuse, oldest first: the thread whose
+    /// handle the next occupant's spawner joins has had the longest to exit.
+    free: VecDeque<usize>,
+}
+
 struct SchedState {
     config: SchedulerConfig,
     injector: injector::Injector,
-    /// Registered stealers, indexed by worker slot; `None` = retired slot.
-    workers: RwLock<Vec<Option<Stealer>>>,
-    /// Per-worker progress stamps, indexed like `workers`.
-    stamps: RwLock<Vec<Option<Arc<WorkerStamp>>>>,
+    /// The worker table: searchers read it, spawn and retire write it.
+    slots: RwLock<SlotTable>,
+    /// First word of the non-empty-deque index (see [`LocalQueue`]).
+    index: IndexWord,
     /// Progress stamps for non-worker helper threads (a blocked root task
     /// running a job via [`Executor::try_help`]), armed for the duration of
     /// each helped job so the watchdog sees wedged helped jobs too.
@@ -294,14 +440,17 @@ struct SchedState {
     /// Fast mirrors of the park-lock bookkeeping for lock-free probes.
     idle: AtomicUsize,
     pending_wakeups: AtomicUsize,
+    /// Workers that consumed a wake-up token and have not found a job yet
+    /// (module docs, "What a search and a wake-up cost").
+    searching: AtomicUsize,
     blocked: AtomicUsize,
-    /// Local deques currently holding work (see [`LocalQueue`]).
-    nonempty_deques: AtomicUsize,
     current: AtomicUsize,
     peak: AtomicUsize,
     started: AtomicUsize,
     executed: AtomicUsize,
     stolen: AtomicUsize,
+    /// Deques inspected by searches (see [`PoolStats::steal_probes`]).
+    steal_probes: AtomicUsize,
     /// Jobs run inline by blocked getters via [`Executor::try_help`]
     /// (each also counted in `executed`).
     helped: AtomicUsize,
@@ -312,7 +461,6 @@ struct SchedState {
     /// panicked task's promises and keeps its own counter.
     panics: AtomicUsize,
     shutdown: AtomicBool,
-    joiners: Mutex<Vec<std::thread::JoinHandle<()>>>,
 }
 
 /// A growing thread pool with per-worker work-stealing deques and a sharded
@@ -326,8 +474,8 @@ impl WorkStealingScheduler {
     pub fn new(config: SchedulerConfig) -> Arc<WorkStealingScheduler> {
         let state = Arc::new(SchedState {
             injector: injector::Injector::new(config.injector_shards),
-            workers: RwLock::new(Vec::new()),
-            stamps: RwLock::new(Vec::new()),
+            slots: RwLock::new(SlotTable::default()),
+            index: IndexWord::new(),
             helper_stamps: RwLock::new(Vec::new()),
             helper_free: Mutex::new(Vec::new()),
             epoch: Instant::now(),
@@ -339,19 +487,19 @@ impl WorkStealingScheduler {
             park_cv: Condvar::new(),
             idle: AtomicUsize::new(0),
             pending_wakeups: AtomicUsize::new(0),
+            searching: AtomicUsize::new(0),
             blocked: AtomicUsize::new(0),
-            nonempty_deques: AtomicUsize::new(0),
             current: AtomicUsize::new(0),
             peak: AtomicUsize::new(0),
             started: AtomicUsize::new(0),
             executed: AtomicUsize::new(0),
             stolen: AtomicUsize::new(0),
+            steal_probes: AtomicUsize::new(0),
             helped: AtomicUsize::new(0),
             batches: AtomicUsize::new(0),
             batch_jobs: AtomicUsize::new(0),
             panics: AtomicUsize::new(0),
             shutdown: AtomicBool::new(false),
-            joiners: Mutex::new(Vec::new()),
             config,
         });
         for _ in 0..state.config.base.initial_workers {
@@ -377,7 +525,7 @@ impl WorkStealingScheduler {
                 // Local fast path: two atomic stores on our own deque.
                 // Safety: the queue outlives the worker loop, and the TLS
                 // entry is cleared before the loop returns.
-                unsafe { (*w.local).push(state, job) };
+                unsafe { (*w.local).push(job) };
                 None
             }
             _ => Some(job),
@@ -413,7 +561,7 @@ impl WorkStealingScheduler {
     /// [`submit`](Self::submit) in a loop: if no worker is parked, §6.3
     /// growth spawns a thread per chained job (each may block); if some
     /// are parked, each gets at most one token and the remaining jobs ride
-    /// on those workers' owed full searches (the same cap `wake_one`
+    /// on those workers' owed full searches (the same cap `grant_wakeups`
     /// applies per submission — coverage of a worker that then blocks
     /// *outside* the promise hooks is a documented limitation of both
     /// paths, not a batching regression).
@@ -438,7 +586,7 @@ impl WorkStealingScheduler {
                 // as in `submit` — the queue outlives the worker loop, and
                 // the TLS entry is cleared before the loop returns.
                 let first = jobs.remove(0);
-                unsafe { (*w.local).push(state, first) };
+                unsafe { (*w.local).push(first) };
                 placed_local = true;
             }
             _ => {}
@@ -471,11 +619,11 @@ impl WorkStealingScheduler {
     pub fn stats(&self) -> PoolStats {
         let state = &self.state;
         let local_queued: usize = state
-            .workers
+            .slots
             .read()
+            .slots
             .iter()
-            .flatten()
-            .map(Stealer::len)
+            .filter_map(|slot| Some(slot.worker.as_ref()?.0.len()))
             .sum();
         PoolStats {
             current_workers: state.current.load(Ordering::Relaxed),
@@ -485,6 +633,7 @@ impl WorkStealingScheduler {
             threads_started: state.started.load(Ordering::Relaxed),
             jobs_executed: state.executed.load(Ordering::Relaxed),
             jobs_stolen: state.stolen.load(Ordering::Relaxed),
+            steal_probes: state.steal_probes.load(Ordering::Relaxed),
             jobs_helped: state.helped.load(Ordering::Relaxed),
             batches_submitted: state.batches.load(Ordering::Relaxed),
             jobs_batch_submitted: state.batch_jobs.load(Ordering::Relaxed),
@@ -517,11 +666,12 @@ impl WorkStealingScheduler {
         };
         let mut out: Vec<WorkerProgress> = self
             .state
-            .stamps
+            .slots
             .read()
+            .slots
             .iter()
             .enumerate()
-            .filter_map(|(worker, stamp)| Some(sample(worker, stamp.as_ref()?, false)))
+            .filter_map(|(worker, slot)| Some(sample(worker, &slot.worker.as_ref()?.1, false)))
             .collect();
         out.extend(
             self.state
@@ -557,34 +707,14 @@ impl WorkStealingScheduler {
     /// Call [`begin_shutdown`](Self::begin_shutdown) first, or idle workers
     /// will simply sit parked until the deadline.
     pub fn try_join_workers(&self, deadline: Instant) -> bool {
-        let state = &self.state;
-        let self_id = std::thread::current().id();
-        let mut pending: Vec<std::thread::JoinHandle<()>> = Vec::new();
         loop {
-            // Merge workers registered concurrently (grow-on-block during
-            // the drain).
-            pending.extend(std::mem::take(&mut *state.joiners.lock()));
-            let mut still_running = Vec::new();
-            for j in pending.drain(..) {
-                // As in `shutdown`: never join the calling thread itself.
-                if j.thread().id() == self_id {
-                    continue;
-                }
-                if j.is_finished() {
-                    let _ = j.join();
-                } else {
-                    still_running.push(j);
-                }
-            }
-            pending = still_running;
-            if pending.is_empty() {
-                if state.joiners.lock().is_empty() {
-                    return true;
-                }
-                continue;
+            // Workers registered concurrently (grow-on-block during the
+            // drain) are picked up by the next pass.
+            let (_, running) = self.state.join_handles(JoinHandle::is_finished);
+            if running == 0 {
+                return true;
             }
             if Instant::now() >= deadline {
-                state.joiners.lock().extend(pending);
                 return false;
             }
             std::thread::sleep(Duration::from_millis(1));
@@ -598,7 +728,24 @@ impl WorkStealingScheduler {
     /// the final [`shutdown`](Self::shutdown) (e.g. from `Drop`) no longer
     /// blocks on them.
     pub fn detach_workers(&self) {
-        drop(std::mem::take(&mut *self.state.joiners.lock()));
+        for slot in &mut self.state.slots.write().slots {
+            slot.handle = None;
+        }
+    }
+
+    /// Join handles currently held: at most one per worker slot, so never
+    /// more than [`PoolStats::peak_workers`] (test hook).
+    #[doc(hidden)]
+    pub fn join_handles_held(&self) -> usize {
+        let table = self.state.slots.read();
+        table.slots.iter().filter(|s| s.handle.is_some()).count()
+    }
+
+    /// Workers that were woken and have not found a job yet (test hook; 0
+    /// whenever the scheduler is quiescent).
+    #[doc(hidden)]
+    pub fn searching_workers(&self) -> usize {
+        self.state.searching.load(Ordering::SeqCst)
     }
 
     /// Drops every job still queued (injector shards and stealable deque
@@ -617,8 +764,8 @@ impl WorkStealingScheduler {
         }
         // A worker stuck *outside* the promise hooks never handed its deque
         // off; steal those jobs out from under it.
-        let workers = state.workers.read();
-        for stealer in workers.iter().flatten() {
+        let table = state.slots.read();
+        for (stealer, _) in table.slots.iter().filter_map(|slot| slot.worker.as_ref()) {
             loop {
                 match stealer.steal() {
                     Steal::Success(job) => {
@@ -639,21 +786,8 @@ impl WorkStealingScheduler {
         let state = &self.state;
         self.begin_shutdown();
         // Workers spawned during the drain (grow-on-block) register their
-        // join handles concurrently; keep joining until none are left.  If
-        // the final scheduler handle is dropped *on* a worker thread (a job
-        // held the last `Arc`), that thread must not join itself.
-        let self_id = std::thread::current().id();
-        loop {
-            let batch = std::mem::take(&mut *state.joiners.lock());
-            if batch.is_empty() {
-                break;
-            }
-            for j in batch {
-                if j.thread().id() != self_id {
-                    let _ = j.join();
-                }
-            }
-        }
+        // join handles concurrently; keep joining until a pass finds none.
+        while state.join_handles(|_| true).0 > 0 {}
         // A submission that raced the shutdown flag may have left jobs in
         // the injector after the last worker exited.  Sweep every shard
         // under its lock (the flag is long set, so `push_unless` refuses
@@ -705,7 +839,7 @@ impl Executor for WorkStealingScheduler {
                 // owner-only `pop` is legal and the queue is alive.
                 let local = unsafe { &*w.local };
                 let job = local
-                    .pop(state)
+                    .pop()
                     .or_else(|| state.injector.pop(w.idx))
                     .or_else(|| state.try_steal(w.idx));
                 let Some(job) = job else { return false };
@@ -715,12 +849,9 @@ impl Executor for WorkStealingScheduler {
                 true
             }
             // A blocked non-worker thread (e.g. a root task in `get`): no
-            // deque of its own.  Any index ≥ every worker slot works as the
-            // injector hint (it is masked) and as the steal start (`i ==
-            // idx` then never skips a victim).
+            // deque of its own.
             None => {
-                let idx = state.workers.read().len();
-                let job = state.injector.pop(idx).or_else(|| state.try_steal(idx));
+                let job = state.injector.pop(0).or_else(|| state.try_steal(NO_WORKER));
                 let Some(job) = job else { return false };
                 // Arm a recycled helper stamp for the duration of the
                 // helped job, so a helped job that wedges on this thread is
@@ -749,8 +880,13 @@ impl std::fmt::Debug for WorkStealingScheduler {
 impl SchedState {
     /// Assigns a searcher to a just-enqueued job according to `policy`.
     fn ensure_progress(self: &Arc<Self>, policy: WakePolicy) {
-        let idle = self.idle.load(Ordering::SeqCst);
-        if idle == 0 {
+        if policy == WakePolicy::NudgeIdle {
+            // Pusher half of the Dekker pairing (module docs): the push is
+            // ordered before the loads below.  External submissions are
+            // ordered by the injector's shard lock and always signal.
+            fence(Ordering::SeqCst);
+        }
+        if self.idle.load(Ordering::SeqCst) == 0 {
             // §6.3: no idle worker — the task must get a fresh thread.
             // This applies to worker-local pushes too: the pushing worker
             // may block by means outside the promise hook (std channels,
@@ -758,32 +894,47 @@ impl SchedState {
             self.grow(1);
             return;
         }
-        if policy == WakePolicy::NudgeIdle && self.pending_wakeups.load(Ordering::SeqCst) >= idle {
-            // Every parked sibling already owes a search that starts after
-            // this enqueue; another signal cannot add parallelism — skip
-            // the park lock entirely on the hot local-spawn path.
+        // Tokens first: a consumer joins `searching` before it gives its
+        // token up, so a wake in flight is never read as zero in both.
+        if policy == WakePolicy::NudgeIdle
+            && (self.pending_wakeups.load(Ordering::SeqCst) > 0
+                || self.searching.load(Ordering::SeqCst) > 0)
+        {
+            // A woken sibling's sweep starts, or its re-check runs, after
+            // this push; another futex wake would only add a thread to
+            // fight for a child the parent is about to pop itself.
             return;
         }
-        self.wake_one();
+        self.signal_many(1);
     }
 
-    fn wake_one(self: &Arc<Self>) {
-        let mut st = self.park.lock();
-        if st.idle == 0 {
-            // Raced: the idle worker we saw woke up (and may block on what
-            // it picked).  Fall back to the growth rule.
-            drop(st);
-            self.grow(1);
-            return;
-        }
-        if st.wakeups < st.idle {
-            st.wakeups += 1;
+    /// Hands wake-up tokens to parked workers for `jobs` queued jobs, at
+    /// most one per worker that does not owe a search already (wake-ups are
+    /// consumed under this lock, and the search they start begins after the
+    /// enqueue, so jobs beyond the granted tokens are covered by the owed
+    /// searches).
+    fn grant_wakeups(&self, st: &mut ParkState, jobs: usize) {
+        let grant = jobs.min(st.idle.saturating_sub(st.wakeups));
+        if grant > 0 {
+            st.wakeups += grant;
             self.pending_wakeups.store(st.wakeups, Ordering::SeqCst);
-            self.park_cv.notify_one();
+            for _ in 0..grant {
+                self.park_cv.notify_one();
+            }
         }
-        // else: every idle worker already owes a full search that starts
-        // after this enqueue (wake-ups are consumed under this lock), so the
-        // job is guaranteed to be seen without another signal.
+    }
+
+    /// A counted searcher found a job: it leaves `searching`, and if it was
+    /// the last one while some worker's deque still holds work it wakes one
+    /// more sibling — the signal that local pushes skipped on its account.
+    /// Only the deques count: every injector job was signalled for when it
+    /// was pushed, and a second wake for it turns a root fan-out of tiny
+    /// jobs into a wake-up chain through the whole parked pool.  Wake only:
+    /// the growth rule was applied when those jobs were pushed.
+    fn pass_the_baton(&self) {
+        if self.searching.fetch_sub(1, Ordering::SeqCst) == 1 && self.any_stealable(NO_WORKER) {
+            self.grant_wakeups(&mut self.park.lock(), 1);
+        }
     }
 
     /// Grows the pool for `jobs` just-enqueued jobs that found no idle
@@ -828,24 +979,29 @@ impl SchedState {
         }
         let (deque, stealer) = WorkerDeque::new(self.config.local_queue_capacity);
         let stamp = WorkerStamp::new();
-        let idx = {
-            let mut workers = self.workers.write();
-            let mut stamps = self.stamps.write();
-            match workers.iter().position(Option::is_none) {
-                Some(i) => {
-                    workers[i] = Some(stealer);
-                    stamps[i] = Some(Arc::clone(&stamp));
-                    i
+        let occupant = Some((stealer, Arc::clone(&stamp)));
+        // `current` moves under the table lock, here and at retirement, so
+        // it equals the number of occupied slots and the table never grows
+        // past `peak`.
+        let (idx, retired) = {
+            let mut table = self.slots.write();
+            let cur = self.current.fetch_add(1, Ordering::SeqCst) + 1;
+            self.peak.fetch_max(cur, Ordering::SeqCst);
+            match table.free.pop_front() {
+                Some(idx) => {
+                    let slot = &mut table.slots[idx];
+                    slot.worker = occupant;
+                    (idx, slot.handle.take())
                 }
                 None => {
-                    workers.push(Some(stealer));
-                    stamps.push(Some(Arc::clone(&stamp)));
-                    workers.len() - 1
+                    table.slots.push(WorkerSlot {
+                        worker: occupant,
+                        handle: None,
+                    });
+                    (table.slots.len() - 1, None)
                 }
             }
         };
-        let cur = self.current.fetch_add(1, Ordering::SeqCst) + 1;
-        self.peak.fetch_max(cur, Ordering::SeqCst);
         let n = self.started.fetch_add(1, Ordering::SeqCst) + 1;
         let mut builder = std::thread::Builder::new()
             .name(format!("{}-{}", self.config.base.thread_name_prefix, n));
@@ -853,15 +1009,74 @@ impl SchedState {
             builder = builder.stack_size(sz);
         }
         let state = Arc::clone(self);
+        let worker_stamp = Arc::clone(&stamp);
         let handle = builder
-            .spawn(move || worker_entry(state, idx, deque, stamp))
+            .spawn(move || worker_entry(state, idx, deque, worker_stamp))
             .expect("failed to spawn scheduler worker thread");
-        self.joiners.lock().push(handle);
+        // The slot keeps the handle only while the new thread still holds
+        // it: a worker that already retired (shutdown, a zero keep-alive)
+        // may have seen its slot reused, and is joined here instead.  The
+        // `stamp` clone held above keeps the comparison free of ABA.
+        let outran = {
+            let mut table = self.slots.write();
+            let slot = &mut table.slots[idx];
+            match &slot.worker {
+                Some((_, s)) if Arc::ptr_eq(s, &stamp) => {
+                    slot.handle = Some(handle);
+                    None
+                }
+                _ => Some(handle),
+            }
+        };
+        // Both threads have left their worker loop; what remains of them is
+        // the exit hook and the thread teardown.
+        let me = std::thread::current().id();
+        for done in [retired, outran].into_iter().flatten() {
+            if done.thread().id() != me {
+                let _ = done.join();
+            }
+        }
+    }
+
+    /// One pass over the table that joins, outside its lock, the worker
+    /// handles `ready` accepts; returns how many it joined and how many it
+    /// left in place.  The calling thread's own handle is dropped instead:
+    /// a worker that holds the last scheduler reference must not join
+    /// itself.
+    fn join_handles(&self, ready: impl Fn(&JoinHandle<()>) -> bool) -> (usize, usize) {
+        let me = std::thread::current().id();
+        let (mut joined, mut left) = (0, 0);
+        let mut idx = 0;
+        loop {
+            let handle = {
+                let mut table = self.slots.write();
+                let Some(slot) = table.slots.get_mut(idx) else {
+                    return (joined, left);
+                };
+                match &slot.handle {
+                    Some(h) if h.thread().id() == me => {
+                        slot.handle = None;
+                        None
+                    }
+                    Some(h) if ready(h) => slot.handle.take(),
+                    Some(_) => {
+                        left += 1;
+                        None
+                    }
+                    None => None,
+                }
+            };
+            if let Some(handle) = handle {
+                let _ = handle.join();
+                joined += 1;
+            }
+            idx += 1;
+        }
     }
 
     /// One full search pass: own deque, then the injector, then siblings.
     fn find_work(&self, idx: usize, local: &LocalQueue) -> Option<Job> {
-        if let Some(job) = local.pop(self) {
+        if let Some(job) = local.pop() {
             return Some(job);
         }
         if let Some(job) = self.injector.pop(idx) {
@@ -898,20 +1113,25 @@ impl SchedState {
         })
     }
 
-    /// First sibling slot a steal sweep visits, per the configured
-    /// [`StealOrder`].
-    fn steal_start(&self, idx: usize, n: usize) -> usize {
+    /// First slot a steal sweep visits, per the configured [`StealOrder`].
+    fn steal_start(&self, idx: usize) -> usize {
         match self.config.steal_order {
-            StealOrder::Sequential => (idx + 1) % n,
+            StealOrder::Sequential => idx.wrapping_add(1),
             StealOrder::Randomized => {
                 thread_local! {
                     static STEAL_RNG: Cell<u64> = const { Cell::new(0) };
                 }
+                // The table is as long as the pool's peak (see
+                // `spawn_worker`).
+                let n = self.peak.load(Ordering::Relaxed).max(1);
                 STEAL_RNG.with(|c| {
                     let mut x = c.get();
                     if x == 0 {
                         // First use on this thread: derive a per-worker seed.
-                        x = (idx as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+                        x = (idx as u64)
+                            .wrapping_add(1)
+                            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+                            | 1;
                     }
                     x ^= x << 13;
                     x ^= x >> 7;
@@ -923,42 +1143,58 @@ impl SchedState {
         }
     }
 
-    fn try_steal(&self, idx: usize) -> Option<Job> {
-        if self.nonempty_deques.load(Ordering::SeqCst) == 0 {
-            return None;
+    /// The one walk every search shares: visits, from slot `start` round to
+    /// the slot before it, the stealer of each deque the index marks
+    /// non-empty except slot `skip`'s, until `visit` returns `Some`.  The
+    /// table is locked (for reading) only once a set bit turns up, and the
+    /// deques visited are counted into [`PoolStats::steal_probes`] with one
+    /// add per walk.
+    fn search<R>(
+        &self,
+        start: usize,
+        skip: usize,
+        mut visit: impl FnMut(&Stealer) -> Option<R>,
+    ) -> Option<R> {
+        let mut table = None;
+        let mut probes = 0;
+        let found = self.index.find_from(start, |slot| {
+            if slot == skip {
+                return None;
+            }
+            let table = table.get_or_insert_with(|| self.slots.read());
+            // A bit read before its worker retired can name an empty slot.
+            let (stealer, _) = table.slots.get(slot)?.worker.as_ref()?;
+            probes += 1;
+            visit(stealer)
+        });
+        if probes > 0 {
+            self.steal_probes.fetch_add(probes, Ordering::Relaxed);
         }
-        let workers = self.workers.read();
-        let n = workers.len();
-        let start = self.steal_start(idx, n.max(1));
-        for sweep in 0..2 {
+        found
+    }
+
+    fn try_steal(&self, idx: usize) -> Option<Job> {
+        let start = self.steal_start(idx);
+        // A second sweep only if the first lost a race it could not settle.
+        for _sweep in 0..2 {
             let mut saw_retry = false;
-            for k in 0..n {
-                let i = (start + k) % n;
-                if i == idx {
-                    continue;
-                }
-                let Some(stealer) = &workers[i] else { continue };
+            let job = self.search(start, idx, |stealer| {
                 // Retry while we lose CAS races; they resolve in a few spins.
-                let mut spins = 0;
-                loop {
+                for _ in 0..=16 {
                     match stealer.steal() {
-                        Steal::Success(job) => {
-                            self.stolen.fetch_add(1, Ordering::Relaxed);
-                            return Some(job);
-                        }
-                        Steal::Empty => break,
-                        Steal::Retry => {
-                            spins += 1;
-                            if spins > 16 {
-                                saw_retry = true;
-                                break;
-                            }
-                            std::hint::spin_loop();
-                        }
+                        Steal::Success(job) => return Some(job),
+                        Steal::Empty => return None,
+                        Steal::Retry => std::hint::spin_loop(),
                     }
                 }
+                saw_retry = true;
+                None
+            });
+            if job.is_some() {
+                self.stolen.fetch_add(1, Ordering::Relaxed);
+                return job;
             }
-            if !saw_retry || sweep == 1 {
+            if !saw_retry {
                 break;
             }
         }
@@ -967,21 +1203,14 @@ impl SchedState {
 
     /// Whether any sibling deque (not `idx`) holds stealable work.
     fn any_stealable(&self, idx: usize) -> bool {
-        self.nonempty_deques.load(Ordering::SeqCst) > 0
-            && self
-                .workers
-                .read()
-                .iter()
-                .enumerate()
-                .any(|(i, s)| i != idx && s.as_ref().is_some_and(|s| !s.is_empty()))
+        self.search(0, idx, |stealer| (!stealer.is_empty()).then_some(()))
+            .is_some()
     }
 
     /// Whether any queue in the scheduler holds work (including the deque of
     /// the — possibly blocked — calling worker).
     fn has_pending_work(&self) -> bool {
-        !self.injector.is_empty()
-            || (self.nonempty_deques.load(Ordering::SeqCst) > 0
-                && self.workers.read().iter().flatten().any(|s| !s.is_empty()))
+        !self.injector.is_empty() || self.any_stealable(NO_WORKER)
     }
 
     fn note_blocked(self: &Arc<Self>) {
@@ -996,7 +1225,7 @@ impl SchedState {
         // so the owner-only `pop` is legal, and the deque outlives the loop.
         let local = unsafe { &*worker.local };
         let mut moved = 0usize;
-        while let Some(job) = local.pop(self) {
+        while let Some(job) = local.pop() {
             self.injector.push(job);
             moved += 1;
         }
@@ -1010,31 +1239,24 @@ impl SchedState {
             if self.idle.load(Ordering::SeqCst) == 0 {
                 self.grow(1);
             } else {
-                self.wake_one();
+                self.signal_many(1);
             }
         }
     }
 
-    /// Assigns searchers to `jobs` just-enqueued injector jobs: parked
-    /// siblings are woken (one wake-up token each, no duplicates), and if
-    /// nobody is parked a worker is spawned per job (§6.3 — each may block).
-    /// Jobs beyond the granted signals are covered by the already-owed
-    /// searches, whose full scans start after this enqueue.
+    /// Assigns searchers to `jobs` just-enqueued jobs: parked siblings are
+    /// woken (see [`grant_wakeups`](Self::grant_wakeups)), and if nobody is
+    /// parked a worker is spawned per job (§6.3 — each may block).
     fn signal_many(self: &Arc<Self>, jobs: usize) {
         let mut st = self.park.lock();
         if st.idle == 0 {
+            // No parked worker — or the one the caller saw woke up, and may
+            // block on what it picked: the growth rule.
             drop(st);
             self.grow(jobs);
             return;
         }
-        let grant = jobs.min(st.idle.saturating_sub(st.wakeups));
-        if grant > 0 {
-            st.wakeups += grant;
-            self.pending_wakeups.store(st.wakeups, Ordering::SeqCst);
-            for _ in 0..grant {
-                self.park_cv.notify_one();
-            }
-        }
+        self.grant_wakeups(&mut st, jobs);
     }
 
     fn note_unblocked(self: &Arc<Self>) {
@@ -1114,17 +1336,36 @@ impl SchedState {
 
     fn worker_loop(self: &Arc<Self>, idx: usize, local: &LocalQueue, stamp: &WorkerStamp) {
         let keep_alive = self.config.base.keep_alive;
+        // Whether this worker is counted in `searching`: from the wake-up
+        // token it consumes to the job it finds (or fails to).
+        let mut searching = false;
         loop {
             if let Some(job) = self.find_work(idx, local) {
+                if std::mem::take(&mut searching) {
+                    self.pass_the_baton();
+                }
                 self.run_job(stamp, job);
                 continue;
             }
             // Nothing found: decide between parking, retiring, and exiting.
+            let was_searching = std::mem::take(&mut searching);
+            if was_searching {
+                // Searcher half of the Dekker pairing (module docs): leave
+                // the count, then re-check the queues.
+                self.searching.fetch_sub(1, Ordering::SeqCst);
+                fence(Ordering::SeqCst);
+            }
             let mut st = self.park.lock();
             // Recheck under the park lock: a submitter that saw idle == 0
             // before we registered has spawned a worker, but one that saw a
-            // stale idle count may only have queued — never sleep on work.
+            // stale idle count (or a searcher still counted) may only have
+            // queued — never sleep on work.
             if !self.injector.is_empty() || self.any_stealable(idx) {
+                if was_searching {
+                    // Still the searcher local pushes may be relying on.
+                    self.searching.fetch_add(1, Ordering::SeqCst);
+                    searching = true;
+                }
                 continue;
             }
             if st.shutdown {
@@ -1150,6 +1391,10 @@ impl SchedState {
             let mut timed_out = false;
             loop {
                 if st.wakeups > 0 {
+                    // Join `searching` before the token is given up (see
+                    // `ensure_progress`).
+                    searching = true;
+                    self.searching.fetch_add(1, Ordering::SeqCst);
                     st.wakeups -= 1;
                     self.pending_wakeups.store(st.wakeups, Ordering::SeqCst);
                     break;
@@ -1176,10 +1421,15 @@ impl SchedState {
             // Woken (or shutting down): search again; on shutdown the loop
             // exits at the park step once every queue is drained.
         }
-        // Retire: our own deque is empty (pop failed just before exiting).
-        self.workers.write()[idx] = None;
-        self.stamps.write()[idx] = None;
-        self.current.fetch_sub(1, Ordering::SeqCst);
+        // Retire: our own deque is empty (pop failed just before exiting),
+        // so our index bit is clear.  The join handle stays in the slot for
+        // whoever reuses it.
+        {
+            let mut table = self.slots.write();
+            table.slots[idx].worker = None;
+            table.free.push_back(idx);
+            self.current.fetch_sub(1, Ordering::SeqCst);
+        }
         // Close the blocked-aware retire race: a submission that raced this
         // retirement may have loaded `current` *before* the decrement above,
         // counted this worker as runnable, and skipped its spawn — and once
@@ -1213,12 +1463,14 @@ fn worker_entry(state: Arc<SchedState>, idx: usize, deque: WorkerDeque, stamp: A
     let _counter_slot = promise_core::counters::register_worker();
     let local = LocalQueue {
         deque,
+        word: &state.index.nth(idx / 64).bits,
+        bit: 1 << (idx % 64),
         marked: Cell::new(false),
     };
     CURRENT_WORKER.with(|c| {
         c.set(Some(WorkerRef {
             sched: Arc::as_ptr(&state) as *const (),
-            local: &local as *const LocalQueue,
+            local: std::ptr::from_ref(&local).cast(),
             idx,
             stamp: Arc::as_ptr(&stamp),
         }))
@@ -1356,6 +1608,119 @@ mod tests {
         for _ in 0..n {
             release_tx.send(()).unwrap();
         }
+        sched.shutdown();
+    }
+
+    #[test]
+    fn index_walk_starts_anywhere_wraps_and_grows_by_the_word() {
+        let index = IndexWord::new();
+        assert!(index.next.get().is_none(), "an idle index is one word");
+        for slot in [3usize, 64, 130] {
+            index
+                .nth(slot / 64)
+                .bits
+                .fetch_or(1 << (slot % 64), Ordering::SeqCst);
+        }
+        let walk = |start| {
+            let mut seen = Vec::new();
+            index.find_from(start, |slot| {
+                seen.push(slot);
+                None::<()>
+            });
+            seen
+        };
+        assert_eq!(walk(0), [3, 64, 130]);
+        assert_eq!(walk(4), [64, 130, 3]);
+        assert_eq!(walk(64), [64, 130, 3]);
+        assert_eq!(walk(65), [130, 3, 64]);
+        assert_eq!(walk(131), [3, 64, 130]);
+        assert_eq!(walk(NO_WORKER.wrapping_add(1)), [3, 64, 130]);
+        assert_eq!(walk(10_000), [3, 64, 130], "a start past the last word");
+        assert_eq!(
+            index.find_from(4, |slot| (slot > 64).then_some(slot)),
+            Some(130)
+        );
+    }
+
+    /// The search-cost satellite: a search inspects the deques the index
+    /// marks, not the worker table.  512 workers sit in jobs that wait on a
+    /// latch; one of them has pushed a job onto its own deque first.  The
+    /// blocked-aware growth rule keeps the pool from answering that push
+    /// with a thread (every worker is busy, none is promise-blocked), so
+    /// the job stays put for the one search this test makes itself.
+    #[test]
+    fn a_search_probes_only_the_marked_deques() {
+        const WORKERS: usize = 512;
+        let sched = WorkStealingScheduler::new(SchedulerConfig {
+            blocked_aware_growth: true,
+            base: PoolConfig {
+                initial_workers: WORKERS,
+                keep_alive: Duration::from_secs(30),
+                ..PoolConfig::default()
+            },
+            ..SchedulerConfig::default()
+        });
+        let latch = Arc::new((Mutex::new(false), Condvar::new()));
+        let hold = {
+            let latch = Arc::clone(&latch);
+            move || {
+                let mut open = latch.0.lock();
+                while !*open {
+                    latch.1.wait(&mut open);
+                }
+            }
+        };
+        let (started_tx, started_rx) = mpsc::channel();
+        let (go_tx, go_rx) = mpsc::channel::<()>();
+        let (pushed_tx, pushed_rx) = mpsc::channel();
+        let (ran_tx, ran_rx) = mpsc::channel();
+        let mut pusher = Some((Arc::clone(&sched), go_rx, pushed_tx, ran_tx));
+        for _ in 0..WORKERS {
+            let (hold, started_tx, pusher) = (hold.clone(), started_tx.clone(), pusher.take());
+            sched
+                .submit(Job::new(move || {
+                    started_tx.send(()).unwrap();
+                    if let Some((sched, go_rx, pushed_tx, ran_tx)) = pusher {
+                        // Push only once every sibling is inside its job:
+                        // a parked one would be woken for the child.
+                        go_rx.recv().unwrap();
+                        sched
+                            .submit(Job::new(move || ran_tx.send(()).unwrap()))
+                            .ok()
+                            .unwrap();
+                        pushed_tx.send(()).unwrap();
+                    }
+                    hold();
+                }))
+                .ok()
+                .unwrap();
+        }
+        for _ in 0..WORKERS {
+            started_rx.recv_timeout(Duration::from_secs(30)).unwrap();
+        }
+        go_tx.send(()).unwrap();
+        pushed_rx.recv_timeout(Duration::from_secs(5)).unwrap();
+        let before = sched.stats();
+        assert_eq!(before.current_workers, WORKERS);
+        assert_eq!(
+            before.queued_jobs, 1,
+            "the pushed job waits on its owner's deque"
+        );
+
+        let job = sched
+            .state
+            .try_steal(NO_WORKER)
+            .expect("the one queued job");
+        let probes = sched.stats().steal_probes - before.steal_probes;
+        assert!(
+            (1..=2).contains(&probes),
+            "one search over {WORKERS} workers with one marked deque made {probes} probes"
+        );
+        job.run();
+        ran_rx.recv_timeout(Duration::from_secs(5)).unwrap();
+
+        *latch.0.lock() = true;
+        latch.1.notify_all();
         sched.shutdown();
     }
 
