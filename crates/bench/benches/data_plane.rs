@@ -3,25 +3,32 @@
 //! pairs the current implementation with the retained pre-optimisation
 //! path, so the speedups this PR claims stay re-measurable:
 //!
-//! * `arena/alloc-free` — one slot alloc + free from a registered worker.
-//!   `magazine` is the per-worker magazine fast path (no atomic RMW, no
-//!   shared cache line); `global` is the retained single Treiber free list
-//!   plus global live/peak counters ([`SlotArena::new_global_only`], the
-//!   pre-PR behaviour).  On the 1-CPU reference container:
-//!   magazine ≈ 14.5 ns/op vs global ≈ 63.4 ns/op (≈ 4.4×; the global
-//!   path's free-list pop now carries an epoch pin for reclamation safety,
-//!   the magazine path pins once per refill batch).
+//! * `arena/alloc-free` — one slot alloc + free from a lone thread.
+//!   `magazine` is the sharded magazine fast path (a try-lock CAS and an
+//!   unlock store around plain array operations; no shared free list, no
+//!   epoch pin); `global` is the retained single Treiber free list plus
+//!   global live/peak counters ([`SlotArena::new_global_only`]).
+//!   magazine ≈ 23 ns/op vs global ≈ 65 ns/op.
 //! * `arena/alloc-free-contended` — four threads hammering alloc/free on
 //!   one shared arena (2 000 pairs each per episode; the reported time is
 //!   one whole episode including thread spawn/join).  Magazines
-//!   ≈ 227 µs/episode vs global ≈ 540 µs/episode (≈ 2.4× even without real
-//!   parallelism; on a multi-core box the global Treiber CAS loop also
-//!   pays retries and line bouncing).
+//!   ≈ 240 µs/episode vs global ≈ 1.7 ms/episode.
+//! * `blocks/alloc-free` — one `Job::new` + `run` (a pooled block allocated
+//!   and freed) from a lone thread: ≈ 22 ns.
+//! * `arena/alloc-free-many-live-threads`, `blocks/alloc-free-many-live-threads`
+//!   — the same pairs measured by a thread that registered after 64 others
+//!   which are all still alive (parked): ≈ 23 ns and ≈ 21 ns, the same as
+//!   alone.  Under the claim-for-a-lifetime magazines this replaced, the
+//!   lone-thread arms read ≈ 13 ns and ≈ 7 ns and these two ≈ 66 ns and
+//!   ≈ 50 ns: the late thread's slot id collided with a live holder's and
+//!   it took the shared path — which is where a §6.3 pool's running
+//!   threads were nine operations in ten.
 //! * `epoch/pin` — the reclamation epoch's pin/unpin round trip
 //!   ([`epoch::pin`]): the per-traversal cost the detector pays and the
-//!   per-call cost of internally-pinning reads.  One full pin (publish
-//!   epoch + SeqCst fence + re-check) ≈ 7.6 ns; a nested pin (TLS depth
-//!   bump only) ≈ 0.3 ns.
+//!   per-call cost of internally-pinning reads.  One full pin (claim a
+//!   cell by CAS-ing the epoch into it + SeqCst fence + re-check; the unpin
+//!   store hands the cell back) ≈ 16 ns; a nested pin (TLS depth bump
+//!   only) ≈ 0.3 ns.
 //! * `arena/chunk-churn` — a whole-chunk alloc/free wave (1024 slots).
 //!   `reclaim-every-wave` retires, frees, and resurrects the chunk each
 //!   wave (≈ 74 µs/wave); `keep-resident` leaves it mapped (≈ 55 µs/wave).
@@ -48,14 +55,16 @@
 //!   other.
 //!
 //! (Numbers are medians of `cargo bench -p promise-bench --bench data_plane`
-//! on the 1-CPU container this repo is developed in; re-run to refresh.)
+//! on the 2-CPU container this repo is developed in — the arena, block and
+//! epoch arms refreshed at PR 14, the rest from the earlier 1-CPU box;
+//! re-run to refresh.)
 //!
 //! [`SlotArena::new_global_only`]: promise_core::arena::SlotArena::new_global_only
 //! [`epoch::pin`]: promise_core::epoch::pin
 //! [`AlarmSink`]: promise_core::AlarmSink
 //! [`MutexSink`]: promise_core::MutexSink
 
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 
@@ -64,7 +73,7 @@ use promise_core::bench_support;
 use promise_core::counters::register_worker;
 use promise_core::epoch;
 use promise_core::slots::TaskSlot;
-use promise_core::{AlarmSink, Context, MutexSink};
+use promise_core::{AlarmSink, Context, Job, MutexSink};
 
 /// Chain length for the detector walk (long enough that per-walk setup
 /// noise vanishes behind the per-step cost).
@@ -129,12 +138,82 @@ fn bench_arena_contended(c: &mut Criterion) {
     group.finish();
 }
 
+/// Threads kept alive (registered, each having used the caches once, then
+/// parked on a barrier) while the `*-many-live-threads` arms measure.
+const LIVE_THREADS: usize = 64;
+
+/// The case the single-thread arms never showed: one alloc + free pair from
+/// a thread that registered *after* `LIVE_THREADS` others, all still alive.
+/// Magazines claimed for a registration's lifetime sent this thread down
+/// the shared path (its slot id collides with a live holder's); magazines
+/// locked per operation serve it like any other.
+fn bench_many_live_threads(c: &mut Criterion) {
+    let arena: Arc<SlotArena<TaskSlot>> = Arc::new(SlotArena::new());
+    let parked = Arc::new(Barrier::new(LIVE_THREADS + 1));
+    let threads: Vec<_> = (0..LIVE_THREADS)
+        .map(|_| {
+            let (arena, parked) = (Arc::clone(&arena), Arc::clone(&parked));
+            std::thread::spawn(move || {
+                let _worker = register_worker();
+                arena.free(arena.alloc());
+                Job::new(|| ()).run();
+                parked.wait();
+                parked.wait();
+            })
+        })
+        .collect();
+    parked.wait();
+    let _worker = register_worker();
+
+    let mut group = c.benchmark_group("arena/alloc-free-many-live-threads");
+    group.throughput(Throughput::Elements(1));
+    group.bench_function("magazine", |b| {
+        b.iter(|| {
+            let r = arena.alloc();
+            arena.free(black_box(r));
+        })
+    });
+    group.finish();
+
+    let mut group = c.benchmark_group("blocks/alloc-free-many-live-threads");
+    group.throughput(Throughput::Elements(1));
+    group.bench_function("magazine", |b| {
+        b.iter(|| {
+            Job::new(|| {
+                black_box(0u64);
+            })
+            .run()
+        })
+    });
+    group.finish();
+
+    parked.wait();
+    for t in threads {
+        t.join().unwrap();
+    }
+}
+
+fn bench_blocks_alloc_free(c: &mut Criterion) {
+    let mut group = c.benchmark_group("blocks/alloc-free");
+    group.throughput(Throughput::Elements(1));
+    let _worker = register_worker();
+    group.bench_function("magazine", |b| {
+        b.iter(|| {
+            Job::new(|| {
+                black_box(0u64);
+            })
+            .run()
+        })
+    });
+    group.finish();
+}
+
 fn bench_epoch_pin(c: &mut Criterion) {
     let mut group = c.benchmark_group("epoch/pin");
     group.throughput(Throughput::Elements(1));
 
-    // The full pin protocol: claim a cell (cached in TLS), publish the
-    // observed epoch, SeqCst fence, re-check.  This is the per-traversal
+    // The full pin protocol: claim a cell by CAS-ing the observed epoch
+    // into it, SeqCst fence, re-check; the unpin store hands it back.  This is the per-traversal
     // cost the detector pays and the per-read cost of `SlotArena::read`.
     group.bench_function("pin-unpin", |b| b.iter(|| drop(black_box(epoch::pin()))));
 
@@ -234,6 +313,8 @@ fn bench_alarm_record(c: &mut Criterion) {
 fn benches(c: &mut Criterion) {
     bench_arena_alloc_free(c);
     bench_arena_contended(c);
+    bench_blocks_alloc_free(c);
+    bench_many_live_threads(c);
     bench_epoch_pin(c);
     bench_chunk_churn(c);
     bench_detector_chain_walk(c);

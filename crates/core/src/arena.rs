@@ -1,4 +1,5 @@
-//! A lock-free, generation-tagged slot arena with per-worker magazines.
+//! A lock-free, generation-tagged slot arena with sharded free-index
+//! magazines.
 //!
 //! The ownership policy and the deadlock detector need two pieces of shared
 //! state per object:
@@ -40,13 +41,13 @@
 //! termination frees one, so on spawn-heavy workloads (QSort allocates
 //! ~786 k task/promise pairs) the free list itself becomes the hottest
 //! shared state.  A single global Treiber stack plus global `live` /
-//! `peak_live` counters would put two contended cache lines on every
-//! allocation.  Allocation is therefore **sharded** through the generic
-//! epoch-claimed [`MagazinePool`] of [`crate::magazine`] — the single
-//! implementation of the per-worker claim/adopt/refill/flush protocol,
-//! shared with the job block pool; see that module for the protocol and its
-//! correctness argument.  The arena contributes only its storage-specific
-//! backend:
+//! `peak_live` counters would put two contended cache lines — and an epoch
+//! pin — on every allocation.  Allocation is therefore **sharded** through
+//! the generic [`MagazinePool`] of [`crate::magazine`] — the single
+//! implementation of the per-operation shard lock and the refill/flush
+//! batching, shared with the job block pool; see that module for the
+//! protocol and its correctness argument.  Any thread is served, registered
+//! or not.  The arena contributes only its storage-specific backend:
 //!
 //! * an empty magazine refills with a batch popped off the global **Treiber
 //!   free list**, or — when the list is dry — a batch of fresh indices
@@ -54,19 +55,27 @@
 //! * a full magazine flushes its oldest [`MAG_REFILL`] indices back as one
 //!   **pre-linked chain** published with a single CAS
 //!   ([`SlotArena::push_free_chain`]);
-//! * threads that never registered — the root task's thread, tests driving
-//!   promises from plain `std::thread`s — and threads whose magazine is
-//!   claimed by another *live* worker fall back to the retained global path
+//! * an operation that finds its home shard and the neighbour both locked
+//!   falls back to the retained global path
 //!   ([`SlotArena::new_global_only`] forces it for all threads, which is the
 //!   pre-magazine behaviour and the benchmark baseline);
-//! * [`SlotArena::release_worker_shard`] (reached via
-//!   `Context::flush_worker_caches` from both schedulers' worker-exit
-//!   hooks) flushes the calling worker's magazine eagerly on retirement.
+//!   [`ArenaMemoryStats::shared_path_ops`] counts how often that happens;
+//! * [`SlotArena::release_worker_shard`] drains every magazine onto the
+//!   global list (a cold path, for callers about to [`reclaim`]).
 //!
 //! `live` / `peak_live` accounting is sharded the same way: each magazine
-//! keeps a per-shard live delta written only by its owner (no RMW), an
-//! overflow cell covers the global path, and [`SlotArena::live`] sums the
-//! shards.
+//! keeps a live delta written under its lock (no RMW), an overflow cell
+//! covers the global path, and [`SlotArena::live`] sums the shards.
+//!
+//! Measured with `cargo bench -p promise-bench --bench data_plane -- arena/`
+//! on the 2-CPU container: one alloc + free pair costs ≈ 23 ns through a
+//! magazine — two uncontended lock-CAS / unlock-store pairs — against
+//! ≈ 65 ns on the global path, from a lone thread (`arena/alloc-free`) and
+//! equally with 64 other registered threads alive
+//! (`arena/alloc-free-many-live-threads`), which is the situation a §6.3
+//! pool is in.
+//!
+//! [`reclaim`]: SlotArena::reclaim
 //!
 //! ## Peak accounting on the magazine path: residual folding
 //!
@@ -74,11 +83,11 @@
 //! samples are the same as ever: every global-path allocation (exact, as
 //! before, for arenas driven only through the global path), every magazine
 //! refill/flush boundary, and every [`SlotArena::peak_live`] read.  Plain
-//! sampling alone under-reported by up to [`MAG_REFILL`] per claimed
-//! magazine, because an excursion that rose and fell *between* two boundary
-//! events was never observed.  Each magazine now also tracks a per-shard
-//! high-water mark with the same owner-only plain-store discipline as its
-//! live delta (still no RMW on the alloc fast path), and its *residual* —
+//! sampling alone under-reported by up to [`MAG_REFILL`] per magazine,
+//! because an excursion that rose and fell *between* two boundary events
+//! was never observed.  Each magazine therefore also tracks a per-shard
+//! high-water mark with the same plain-store-under-the-lock discipline as
+//! its live delta, and its *residual* —
 //! how far the shard's past peak sits above its current delta — is folded
 //! in at two points: boundary events fold it into the stored maximum
 //! (`peak ← max(peak, live + residual)` via
@@ -102,7 +111,8 @@
 //!   *max* (not the sum) of per-shard residuals keeps any over-report
 //!   within one magazine's excursion (≤ [`MAG_CAP`]) per fold.  An exact
 //!   concurrent peak of a sharded sum would require a global RMW on every
-//!   alloc — precisely what the magazines exist to avoid.
+//!   alloc — precisely what the magazines exist to avoid.  The bound is per
+//!   magazine, so it does not depend on how many threads pass through one.
 //!
 //! # Reclamation: epochs for memory, generations for identity
 //!
@@ -128,6 +138,12 @@
 //!   Stale references into a retired chunk read as `None` (table entry is
 //!   null); stale references into a *remapped* chunk fail the generation
 //!   check against the new mapping's floor.
+//!
+//! An index cached in a magazine is a held index like any other: it keeps
+//! its chunk out of reach of retirement, and [`SlotArena::reclaim`] does
+//! not drain magazines.  The magazines belong to the arena, not to threads,
+//! so at most `MAG_SHARDS × MAG_CAP` = 1 024 indices per arena are ever
+//! cached, whatever the thread count.
 //!
 //! # Reads: which protocols may see cross-occupancy values
 //!
@@ -289,10 +305,10 @@ pub struct SlotArena<T> {
     /// Guards mapping, retiring and resurrecting of chunks (cold paths
     /// only), and owns the limbo / retired-index lists.
     grow_lock: Mutex<ReclaimState<T>>,
-    /// Per-worker free-index magazines, driven by the generic epoch-claimed
+    /// Free-index magazines, driven by the generic per-operation-locked
     /// protocol of [`crate::magazine`] (unused when `use_magazines` is off).
     magazines: MagazinePool<u32>,
-    /// Whether worker threads may use the magazines (off for the retained
+    /// Whether allocation goes through the magazines (off for the retained
     /// pre-magazine benchmark baseline, [`SlotArena::new_global_only`]).
     use_magazines: bool,
     /// Live-count contribution of the global (non-magazine) path.
@@ -304,7 +320,7 @@ pub struct SlotArena<T> {
 /// The arena's storage half of the magazine protocol: refills come from the
 /// global Treiber list (or a fresh-index range claim), flushes go back as
 /// one pre-linked chain.  See the module docs of [`crate::magazine`] for the
-/// claim/adopt/flush machinery this plugs into.
+/// lock/refill/flush machinery this plugs into.
 struct ArenaBackend<'a, T>(&'a SlotArena<T>);
 
 impl<T: SlotValue> MagazineBackend for ArenaBackend<'_, T> {
@@ -428,7 +444,7 @@ impl<T: SlotValue> SlotArena<T> {
     }
 
     /// Creates an arena whose allocations always take the global free-list
-    /// path, even from registered worker threads.
+    /// path.
     ///
     /// This is the pre-magazine behaviour, retained as the comparison
     /// baseline for the `arena/*` microbenchmarks.
@@ -448,9 +464,9 @@ impl<T: SlotValue> SlotArena<T> {
 
     /// Highest number of simultaneously live slots observed so far.
     ///
-    /// Exact for arenas driven only through the global path (unregistered
-    /// threads, [`new_global_only`](Self::new_global_only)) and for
-    /// quiescent reads with magazines in play (the read folds in each
+    /// Exact for arenas driven only through the global path
+    /// ([`new_global_only`](Self::new_global_only)) and for quiescent reads
+    /// with magazines in play (the read folds in each
     /// magazine's unsampled peak excursion — see "peak accounting" in the
     /// module docs for the concurrent-read bounds).
     pub fn peak_live(&self) -> usize {
@@ -463,7 +479,7 @@ impl<T: SlotValue> SlotArena<T> {
     /// Total number of slots ever handed out from the fresh region (i.e. the
     /// arena's footprint in slots, ignoring recycling).  Magazine refills
     /// claim fresh indices in batches of [`MAG_REFILL`], so up to one batch
-    /// per claimed magazine may be counted before being handed out.
+    /// per magazine may be counted before being handed out.
     pub fn high_water_slots(&self) -> usize {
         self.next_fresh.load(Ordering::Relaxed) as usize
     }
@@ -714,24 +730,22 @@ impl<T: SlotValue> SlotArena<T> {
             return;
         }
         self.retire_slot(r);
-        // A missing magazine (unregistered thread, live collision) falls
-        // through to the global path.
+        // Both probed shards locked by other threads: the global path.
         if self.use_magazines && self.magazines.free(&ArenaBackend(self), r.index()).is_ok() {
             return;
         }
         self.free_global(r.index());
     }
 
-    /// Flushes and releases the calling worker's magazine claim, returning
-    /// every cached free slot to the global list.
+    /// Drains every magazine, returning every cached free slot to the
+    /// global list — after it returns, whatever the calling thread freed
+    /// before is there, where [`reclaim`](Self::reclaim) can see it.
     ///
-    /// Runtimes call this (through `Context::flush_worker_caches`) when a
-    /// worker thread retires, so that slots cached by a retiring worker are
-    /// immediately reusable by everyone instead of waiting to be adopted by
-    /// the next worker that maps onto the same magazine.  No-op when the
-    /// calling thread holds no claim on its magazine.
+    /// A cold path (it takes each shard lock in turn, waiting out a holder
+    /// that is mid-operation); nothing on a per-operation or worker-exit
+    /// path calls it.
     pub fn release_worker_shard(&self) {
-        self.magazines.flush_current_worker(&ArenaBackend(self));
+        self.magazines.drain(&ArenaBackend(self));
     }
 
     /// Retires every fully-free chunk and frees every limbo chunk whose two
@@ -753,8 +767,9 @@ impl<T: SlotValue> SlotArena<T> {
     /// Indices of a retired chunk leave circulation entirely; they are
     /// re-minted when allocation pressure maps the chunk back in with a
     /// fresh generation floor (see `try_resurrect`).  Callers: explicit
-    /// `Context::reclaim_memory`, worker-exit hooks, and plateau boundaries
-    /// in the churn workload.  Never called on any per-operation path.
+    /// `Context::reclaim_memory`, the runtime's worker-exit hook, and
+    /// plateau boundaries in the churn workload.  Never called on any
+    /// per-operation path.
     pub fn reclaim(&self) -> usize {
         let mut freed = 0;
         {
@@ -942,6 +957,8 @@ impl<T: SlotValue> SlotArena<T> {
             peak_resident_bytes: self.peak_resident_bytes(),
             bytes_freed: self.bytes_freed(),
             chunks_reclaimed: self.chunks_reclaimed(),
+            magazine_ops: self.magazines.magazine_ops(),
+            shared_path_ops: self.magazines.shared_path_ops(),
         }
     }
 
@@ -1062,6 +1079,12 @@ pub struct ArenaMemoryStats {
     pub bytes_freed: u64,
     /// Total chunks returned to the allocator so far.
     pub chunks_reclaimed: u64,
+    /// Slot allocs plus frees served by a magazine so far.
+    pub magazine_ops: u64,
+    /// Slot allocs plus frees that found both probed magazines locked and
+    /// took the global free-list path instead (the cache-reach signal: a
+    /// healthy runtime keeps this under 1 % of `magazine_ops`).
+    pub shared_path_ops: u64,
 }
 
 impl ArenaMemoryStats {
@@ -1072,6 +1095,8 @@ impl ArenaMemoryStats {
             peak_resident_bytes: self.peak_resident_bytes + other.peak_resident_bytes,
             bytes_freed: self.bytes_freed + other.bytes_freed,
             chunks_reclaimed: self.chunks_reclaimed + other.chunks_reclaimed,
+            magazine_ops: self.magazine_ops + other.magazine_ops,
+            shared_path_ops: self.shared_path_ops + other.shared_path_ops,
         }
     }
 }
@@ -1251,7 +1276,7 @@ impl<T> Drop for SlotArena<T> {
 }
 
 // Safety: all shared state inside the arena is atomics, mutex-protected, or
-// the `MagazinePool`, whose claim protocol (see `crate::magazine`) makes its
+// the `MagazinePool`, whose shard locks (see `crate::magazine`) make its
 // interior-mutable cells exclusive to one thread at a time.  The chunks are
 // owned through raw pointers, so Send/Sync must be asserted manually; the
 // payload type is required to be Send + Sync (via `SlotValue`).
@@ -1387,9 +1412,7 @@ mod tests {
     /// live sampling used to under-report by up to [`MAG_REFILL`].
     #[test]
     fn peak_live_underreport_is_bounded_by_one_refill_batch() {
-        let _workers = crate::test_support::pool::worker_serial();
         let arena: SlotArena<TestCell> = SlotArena::new();
-        let _worker = crate::counters::register_worker();
         // First alloc refills (samples at live == 0), then `extra` more
         // allocations ride the magazine without crossing a boundary: the
         // second refill samples at live == MAG_REFILL, and the final
@@ -1436,9 +1459,7 @@ mod tests {
 
     #[test]
     fn magazine_path_allocates_and_recycles() {
-        let _workers = crate::test_support::pool::worker_serial();
         let arena: SlotArena<TestCell> = SlotArena::new();
-        let _worker = crate::counters::register_worker();
         let refs: Vec<_> = (0..(MAG_CAP * 3)).map(|_| arena.alloc()).collect();
         assert_eq!(arena.live(), MAG_CAP * 3);
         for r in &refs {
@@ -1459,22 +1480,24 @@ mod tests {
 
     #[test]
     fn release_worker_shard_returns_cached_slots_to_global() {
-        let _workers = crate::test_support::pool::worker_serial();
         let arena: Arc<SlotArena<TestCell>> = Arc::new(SlotArena::new());
         let arena2 = Arc::clone(&arena);
+        // The thread that cached the slots is gone by the time of the
+        // drain; whichever shard it used, the drain finds it.
         std::thread::spawn(move || {
-            let _worker = crate::counters::register_worker();
             let refs: Vec<_> = (0..8).map(|_| arena2.alloc()).collect();
             for r in refs {
                 arena2.free(r);
             }
-            arena2.release_worker_shard();
         })
         .join()
         .unwrap();
         assert_eq!(arena.live(), 0);
-        // The flushed slots are on the global list: an unregistered thread
-        // reuses them without growing the fresh region.
+        assert!(arena.magazines.cached() > 0);
+        arena.release_worker_shard();
+        assert_eq!(arena.magazines.cached(), 0);
+        // The drained slots are on the global list: the next refill reuses
+        // them without growing the fresh region.
         let footprint = arena.high_water_slots();
         let r = arena.alloc();
         assert_eq!(arena.high_water_slots(), footprint);
@@ -1483,7 +1506,6 @@ mod tests {
 
     #[test]
     fn global_only_arena_ignores_worker_registration() {
-        let _workers = crate::test_support::pool::worker_serial();
         let arena: SlotArena<TestCell> = SlotArena::new_global_only();
         let _worker = crate::counters::register_worker();
         let r = arena.alloc();

@@ -17,7 +17,7 @@ use crate::counters::{CounterSnapshot, Counters};
 use crate::error::{DeadlockCycle, OmittedSetReport};
 use crate::events::EventLog;
 use crate::ids::{PromiseId, TaskId};
-use crate::job::{self, Job};
+use crate::job::Job;
 use crate::policy::PolicyConfig;
 use crate::slots::{PromiseSlot, TaskSlot};
 use crate::task;
@@ -375,34 +375,17 @@ impl Context {
         self.alarms.clear();
     }
 
-    /// Flushes the calling worker thread's per-worker caches — the arena
-    /// slot magazines of both arenas and the shared block pool's magazines
-    /// (job records *and* pooled promise cells), all driven by the generic
-    /// epoch-claimed magazine of [`crate::magazine`] — back to their global
-    /// free lists and releases the claims.
-    ///
-    /// Runtimes call this when a worker thread retires so the slots and
-    /// blocks it cached become immediately reusable; see
-    /// [`SlotArena::release_worker_shard`] and
-    /// [`job::flush_worker_blocks`](crate::job::flush_worker_blocks).
-    pub fn flush_worker_caches(&self) {
-        self.tasks.release_worker_shard();
-        self.promises.release_worker_shard();
-        job::flush_worker_blocks();
-        // A retiring worker's flushed indices may leave whole chunks free:
-        // sweep them while we are on a cold path anyway (worker exit is
-        // rare, and reclaim never blocks the data plane).
-        self.reclaim_memory();
-    }
-
     /// Retires fully-free arena chunks and frees those whose grace periods
     /// have elapsed (see [`SlotArena::reclaim`]); returns the bytes
     /// returned to the allocator by this call.
     ///
     /// Reclamation is explicit — the per-operation paths never pay for it.
     /// Long-running services call this at natural low points (after a
-    /// workload phase completes, when a pool shrinks); repeated calls
-    /// converge, since each one also nudges the global epoch forward.
+    /// workload phase completes, when a pool shrinks — the runtime's
+    /// worker-exit hook does); repeated calls converge, since each one also
+    /// nudges the global epoch forward.  Indices cached in the arenas'
+    /// magazines (at most 1 024 per arena) are not drained and keep their
+    /// chunks resident.
     pub fn reclaim_memory(&self) -> usize {
         self.tasks.reclaim() + self.promises.reclaim()
     }

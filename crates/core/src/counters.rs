@@ -15,16 +15,13 @@
 //! are therefore **sharded**: a [`Counters`] instance owns an array of
 //! [`CachePadded`] cells, and each *worker thread* registers a slot index
 //! (via [`register_worker`], called by the runtime's schedulers when a
-//! worker thread starts) that picks its private shard.  Threads that never
+//! worker thread starts) that picks its shard.  Threads that never
 //! registered — the root task's thread, tests driving promises from plain
-//! `std::thread`s — fall back to a shared *overflow* cell, which is exactly
-//! the old behaviour.
+//! `std::thread`s — fall back to a shared *overflow* cell.
 //!
-//! Worker registration is also the seam the arena's per-worker slot
-//! magazines hang off (see [`crate::arena`]): a registration is a
-//! `(slot id, epoch)` pair, slot ids are recycled when workers exit, and the
-//! per-slot epoch lets another thread distinguish a *live* registration from
-//! a dead one whose caches may be adopted.
+//! Registration is only a shard hint for these counters.  Nothing else
+//! hangs off it: the item caches of [`crate::magazine`] serve registered
+//! and unregistered threads alike, sharded by `thread_home`.
 //!
 //! Increments stay `Relaxed` fetch-adds; [`Counters::snapshot`] sums across
 //! all shards plus the overflow cell, preserving the [`CounterSnapshot`]
@@ -35,7 +32,7 @@
 //! relaxed read of that shard is coherence-ordered after the increment.
 
 use std::cell::Cell;
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 use crossbeam_utils::CachePadded;
 
@@ -44,25 +41,6 @@ use crossbeam_utils::CachePadded;
 /// More live workers than shards merely means some workers share a padded
 /// cell — sharding is a performance hint, never a correctness requirement.
 const COUNTER_SHARDS: usize = 16;
-
-/// Number of worker-slot ids whose registration *epochs* are tracked.
-///
-/// Slot ids below this bound carry an epoch that other subsystems (the
-/// arena's per-worker slot magazines, see [`crate::arena`]) use to tell a
-/// live registration from a dead one, so that caches claimed by an exited
-/// worker can be adopted instead of leaking.  More than this many
-/// *concurrently* registered workers is far outside any realistic pool size;
-/// the excess ids simply carry no epoch (their holders fall back to the
-/// shared paths everywhere, which is always correct).
-pub(crate) const MAX_TRACKED_SLOTS: usize = 256;
-
-/// Per-slot registration epochs.  Odd = the slot id is currently registered
-/// by some live thread; even = released.  Each register/release bumps the
-/// epoch, so a `(slot, epoch)` pair uniquely identifies one registration
-/// period of one thread and can never be impersonated after that thread
-/// unregisters (ids are only reused after the release bump).
-static SLOT_EPOCHS: [AtomicU32; MAX_TRACKED_SLOTS] =
-    [const { AtomicU32::new(0) }; MAX_TRACKED_SLOTS];
 
 /// Recycled worker-slot ids plus the next never-used id.  Registration is
 /// rare (worker thread start), so a mutex is fine here.
@@ -76,298 +54,93 @@ struct SlotIdPool {
     next: usize,
 }
 
-/// Unregistered sentinel for the packed thread-local token.
-const NO_TOKEN: u64 = u64::MAX;
+/// Unregistered sentinel for the thread-local slot id.
+const NO_SLOT: usize = usize::MAX;
 
 thread_local! {
-    /// This thread's packed worker token: `(slot << 32) | epoch`, or
-    /// [`NO_TOKEN`] when unregistered.  For untracked slot ids
-    /// (≥ [`MAX_TRACKED_SLOTS`]) the epoch half is zero.
-    static WORKER_TOKEN: Cell<u64> = const { Cell::new(NO_TOKEN) };
-}
-
-/// A worker registration token: the slot id plus the registration epoch
-/// under which it was claimed.  Used by per-worker caches (the arena's slot
-/// magazines) to distinguish a live claim from one left behind by an exited
-/// worker.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub(crate) struct WorkerToken {
-    pub(crate) slot: u32,
-    pub(crate) epoch: u32,
-}
-
-impl WorkerToken {
-    /// Packs the token into a non-zero u64 (`(slot+1) << 32 | epoch`) for
-    /// storage in an `AtomicU64` claim word where 0 means "unclaimed".
-    #[inline]
-    pub(crate) fn pack_nonzero(self) -> u64 {
-        ((self.slot as u64 + 1) << 32) | self.epoch as u64
-    }
-
-    /// Inverse of [`pack_nonzero`](Self::pack_nonzero); `bits` must be
-    /// non-zero.
-    #[inline]
-    pub(crate) fn unpack_nonzero(bits: u64) -> WorkerToken {
-        WorkerToken {
-            slot: ((bits >> 32) - 1) as u32,
-            epoch: (bits & 0xFFFF_FFFF) as u32,
-        }
-    }
-
-    /// Whether the registration this token was minted under is still the
-    /// slot's current one (i.e. the registering thread has not released it).
-    ///
-    /// Acquire: a `false` answer is used to *adopt* state left behind by the
-    /// dead registration, so the caller must also observe every write that
-    /// preceded the release bump.
-    #[inline]
-    pub(crate) fn is_current(self) -> bool {
-        match SLOT_EPOCHS.get(self.slot as usize) {
-            Some(e) => e.load(Ordering::Acquire) == self.epoch,
-            None => false,
-        }
-    }
-}
-
-/// The calling thread's worker token, if it is registered with a tracked
-/// slot id.  Untracked registrations (beyond [`MAX_TRACKED_SLOTS`]) report
-/// `None` so per-worker caches fall back to their shared paths.
-#[inline]
-pub(crate) fn current_worker_token() -> Option<WorkerToken> {
-    let packed = WORKER_TOKEN.with(Cell::get);
-    if packed == NO_TOKEN {
-        return None;
-    }
-    let slot = (packed >> 32) as usize;
-    if slot >= MAX_TRACKED_SLOTS {
-        return None;
-    }
-    Some(WorkerToken {
-        slot: slot as u32,
-        epoch: (packed & 0xFFFF_FFFF) as u32,
-    })
+    /// This thread's worker slot id, or [`NO_SLOT`] when unregistered.
+    static WORKER_SLOT: Cell<usize> = const { Cell::new(NO_SLOT) };
 }
 
 /// RAII registration of the calling thread as a counter-sharded worker.
 ///
-/// Returned by [`register_worker`]; dropping it restores the thread's
-/// previous slot (so nested registrations compose) and releases the slot id
-/// for reuse by later workers.  `!Send`: the drop writes the *registering*
+/// Returned by [`register_worker`]; dropping it unregisters the thread and
+/// releases the slot id for reuse by later workers.  A registration made
+/// while the thread is already registered shares the outer one's slot and
+/// owns nothing, so guards may be dropped in any order without the thread
+/// ever carrying a released id.  `!Send`: the drop writes the *registering*
 /// thread's thread-local slot, so the guard must not migrate to another
 /// thread.
 #[derive(Debug)]
 #[must_use = "dropping the WorkerSlot immediately undoes the registration"]
 pub struct WorkerSlot {
-    prev: u64,
-    own: u64,
-    slot: usize,
+    /// The slot id this guard took from the pool; `None` for a nested
+    /// registration.
+    slot: Option<usize>,
     /// Pins the guard to its thread (`*mut ()` is `!Send + !Sync`).
     _thread_bound: std::marker::PhantomData<*mut ()>,
 }
 
-/// `packed` if it still names a *current* registration, else [`NO_TOKEN`].
-///
-/// Guards against non-LIFO guard drops: a restored saved token must never
-/// resurrect a registration that was released in the meantime — a thread
-/// carrying a dead token could satisfy a magazine claim-word match while a
-/// new holder of the recycled slot id adopts the same magazine (see
-/// [`crate::arena`]), i.e. two threads with exclusive access.
-fn validate_token(packed: u64) -> u64 {
-    if packed == NO_TOKEN {
-        return NO_TOKEN;
-    }
-    let slot = (packed >> 32) as usize;
-    match SLOT_EPOCHS.get(slot) {
-        // Untracked ids carry no epoch and can never claim magazines;
-        // restoring them is harmless (counter sharding tolerates sharing).
-        None => packed,
-        Some(e) => {
-            if e.load(Ordering::Acquire) == (packed & 0xFFFF_FFFF) as u32 {
-                packed
-            } else {
-                NO_TOKEN
-            }
-        }
-    }
-}
-
 impl Drop for WorkerSlot {
     fn drop(&mut self) {
-        WORKER_TOKEN.with(|c| {
-            // Only touch the TLS token if this guard is the thread's active
-            // registration; a non-LIFO drop must not clobber the inner
-            // (still live) one.  The restored `prev` is re-validated: it may
-            // itself have been released by a non-LIFO drop.
-            if c.get() == self.own {
-                c.set(validate_token(self.prev));
-            }
-        });
-        // Release order matters: the epoch bump publishes (with Release
-        // ordering) every per-worker-cache write this thread made, *then*
-        // the id goes back to the pool.  A later claimant that observes the
-        // bumped epoch (Acquire) therefore sees those writes and can adopt
-        // the dead registration's caches.
-        if let Some(e) = SLOT_EPOCHS.get(self.slot) {
-            e.fetch_add(1, Ordering::Release);
+        if let Some(slot) = self.slot {
+            WORKER_SLOT.with(|c| c.set(NO_SLOT));
+            SLOT_IDS.lock().free.push(slot);
         }
-        SLOT_IDS.lock().free.push(self.slot);
     }
 }
 
-/// Registers the calling thread as a worker, assigning it a private shard of
-/// every [`Counters`] instance it touches and making it eligible for the
-/// per-worker slot magazines of [`crate::arena::SlotArena`].
+/// Registers the calling thread as a worker, assigning it a shard of every
+/// [`Counters`] instance it touches.
 ///
 /// Runtimes call this once per worker thread.  Slot ids are recycled when
 /// workers exit, so a stable worker set occupies a stable, dense range of
-/// shards.  Threads that never register fall back to
-/// the shared overflow cell / global free list — correct, just contended.
+/// shards.  Threads that never register fall back to the shared overflow
+/// cell — correct, just contended.
 pub fn register_worker() -> WorkerSlot {
-    let slot = {
-        let mut pool = SLOT_IDS.lock();
-        match pool.free.pop() {
-            Some(id) => id,
-            None => {
-                let id = pool.next;
-                pool.next += 1;
-                id
-            }
-        }
-    };
-    let epoch = match SLOT_EPOCHS.get(slot) {
-        // Even (released) → odd (registered).  AcqRel so the new
-        // registration is ordered with the previous holder's release.
-        Some(e) => e.fetch_add(1, Ordering::AcqRel).wrapping_add(1),
-        None => 0,
-    };
-    let packed = ((slot as u64) << 32) | epoch as u64;
-    WORKER_TOKEN.with(|c| {
-        let prev = c.get();
-        c.set(packed);
+    WORKER_SLOT.with(|c| {
+        let slot = (c.get() == NO_SLOT).then(|| {
+            let mut pool = SLOT_IDS.lock();
+            let id = match pool.free.pop() {
+                Some(id) => id,
+                None => {
+                    pool.next += 1;
+                    pool.next - 1
+                }
+            };
+            c.set(id);
+            id
+        });
         WorkerSlot {
-            prev,
-            own: packed,
             slot,
             _thread_bound: std::marker::PhantomData,
         }
     })
 }
 
-/// Simulated worker registrations for the deterministic magazine
-/// interleaving kit (see `crate::test_support::interleave`).
-///
-/// A [`SimWorker`] is a real registration in the epoch table — it flips the
-/// slot's epoch odd on creation and even again on death, exactly like
-/// [`register_worker`]/[`WorkerSlot::drop`] — but it does **not** occupy
-/// the thread-local token.  Instead the kit *activates* it around each
-/// simulated step, so one driver thread can play several workers (live and
-/// dead) against each other in a chosen order.  Slot ids are picked by the
-/// kit from the top of the tracked range ([`MAX_TRACKED_SLOTS`]), which
-/// real registrations never reach (they allocate densely from 0), so
-/// simulated and real workers cannot collide.
-///
-/// Test-support seam: not part of the public API.
-#[doc(hidden)]
-pub mod sim {
-    use super::*;
+/// Next home index to hand out.
+static NEXT_HOME: AtomicUsize = AtomicUsize::new(0);
 
-    /// A simulated worker registration pinned to an explicit slot id.
-    #[derive(Debug)]
-    pub struct SimWorker {
-        slot: usize,
-        epoch: u32,
-    }
+thread_local! {
+    /// This thread's home index, assigned at first use.
+    static HOME: Cell<usize> = const { Cell::new(usize::MAX) };
+}
 
-    impl SimWorker {
-        /// Registers a simulated worker on `slot`.
-        ///
-        /// # Panics
-        ///
-        /// Panics if `slot` is outside the tracked range or currently
-        /// registered (by a real worker or another live `SimWorker`).
-        pub fn register(slot: usize) -> SimWorker {
-            let cell = SLOT_EPOCHS
-                .get(slot)
-                .expect("sim slot must be inside the tracked range");
-            // Even (released) → odd (registered); AcqRel orders this
-            // registration with the previous holder's release, exactly like
-            // `register_worker`.
-            let prev = cell.fetch_add(1, Ordering::AcqRel);
-            assert!(
-                prev.is_multiple_of(2),
-                "sim slot {slot} is already registered (epoch {prev})"
-            );
-            SimWorker {
-                slot,
-                epoch: prev.wrapping_add(1),
-            }
+/// The calling thread's *home index*: handed out round-robin the first time
+/// a thread asks, registered or not, and kept for its lifetime.  The item
+/// caches ([`crate::magazine`]) and the epoch's pin cells ([`crate::epoch`])
+/// start their search for a free shard at `home % shards`, which spreads
+/// the threads that run at the same time without any of them owning one.
+#[inline]
+pub(crate) fn thread_home() -> usize {
+    HOME.with(|home| match home.get() {
+        usize::MAX => {
+            let assigned = NEXT_HOME.fetch_add(1, Ordering::Relaxed);
+            home.set(assigned);
+            assigned
         }
-
-        /// The slot id this simulated worker occupies.
-        pub fn slot(&self) -> usize {
-            self.slot
-        }
-
-        /// Whether this registration is still the slot's current one.
-        pub fn is_live(&self) -> bool {
-            WorkerToken {
-                slot: self.slot as u32,
-                epoch: self.epoch,
-            }
-            .is_current()
-        }
-
-        /// Makes this worker the calling thread's current registration for
-        /// the lifetime of the returned guard (the previous thread-local
-        /// token is restored on drop).  Steps of the interleaving kit run
-        /// inside such an activation.
-        pub fn activate(&self) -> ActiveSim {
-            let packed = ((self.slot as u64) << 32) | self.epoch as u64;
-            let prev = WORKER_TOKEN.with(|c| {
-                let prev = c.get();
-                c.set(packed);
-                prev
-            });
-            ActiveSim {
-                prev,
-                _thread_bound: std::marker::PhantomData,
-            }
-        }
-
-        /// Ends the registration *without* flushing anything — the simulated
-        /// equivalent of a worker dying with a claimed, non-empty magazine.
-        /// The epoch bump uses Release ordering so a later adopter (whose
-        /// `is_current` check reads the epoch with Acquire) observes every
-        /// write this worker made, exactly as for real registrations.
-        pub fn die(self) {
-            // Drop runs the bump.
-        }
-    }
-
-    impl Drop for SimWorker {
-        fn drop(&mut self) {
-            if let Some(cell) = SLOT_EPOCHS.get(self.slot) {
-                cell.fetch_add(1, Ordering::Release);
-            }
-        }
-    }
-
-    /// Guard for an activated [`SimWorker`]; restores the thread's previous
-    /// token on drop.  `!Send`: it manipulates the activating thread's TLS.
-    #[derive(Debug)]
-    pub struct ActiveSim {
-        prev: u64,
-        _thread_bound: std::marker::PhantomData<*mut ()>,
-    }
-
-    impl Drop for ActiveSim {
-        fn drop(&mut self) {
-            WORKER_TOKEN.with(|c| c.set(validate_token(self.prev)));
-        }
-    }
-
-    /// The top of the tracked slot-id range, for kits picking private ids.
-    pub const TRACKED_SLOTS: usize = MAX_TRACKED_SLOTS;
+        assigned => assigned,
+    })
 }
 
 /// One shard's worth of counter cells (fits one padded cache-line pair).
@@ -521,12 +294,10 @@ impl Counters {
     /// overflow cell for unregistered threads.
     #[inline]
     fn cells(&self) -> &CounterCells {
-        let token = WORKER_TOKEN.with(Cell::get);
-        if token == NO_TOKEN {
-            &self.overflow
-        } else {
+        match WORKER_SLOT.with(Cell::get) {
+            NO_SLOT => &self.overflow,
             // COUNTER_SHARDS is a power of two, so the mask is a cheap mod.
-            &self.shards[(token >> 32) as usize & (COUNTER_SHARDS - 1)]
+            slot => &self.shards[slot & (COUNTER_SHARDS - 1)],
         }
     }
 
@@ -706,7 +477,6 @@ mod tests {
 
     #[test]
     fn registered_workers_land_in_shards_and_snapshots_sum_them() {
-        let _workers = crate::test_support::pool::worker_serial();
         let c = std::sync::Arc::new(Counters::new());
         let threads: Vec<_> = (0..4)
             .map(|_| {
@@ -732,33 +502,28 @@ mod tests {
 
     #[test]
     fn non_lifo_guard_drops_never_leave_a_dead_token() {
-        let _workers = crate::test_support::pool::worker_serial();
-        // drop(a) while b is live releases a's registration; drop(b) must
-        // not restore a's now-dead token (a thread carrying a dead token
-        // could alias a recycled magazine claim in the arena).
+        // A nested registration shares the outer slot and owns nothing, so
+        // dropping the outer guard first unregisters the thread outright:
+        // the inner guard has no saved id to restore, and the thread never
+        // ends up carrying an id that went back to the pool.
+        let c = Counters::new();
+        let slot = || WORKER_SLOT.with(Cell::get);
         let a = register_worker();
-        let a_token = current_worker_token().expect("a is tracked");
+        let a_slot = slot();
+        assert_ne!(a_slot, NO_SLOT);
         let b = register_worker();
+        assert_eq!(slot(), a_slot, "the nested registration shares a's slot");
         drop(a);
-        // b is still the active registration.
-        let cur = current_worker_token().expect("b still registered");
-        assert!(cur.is_current());
+        assert_eq!(slot(), NO_SLOT, "a's id left the thread when a released it");
+        c.record_get(); // overflow cell
         drop(b);
-        // Not a's dead token: either unregistered, or (if this test thread
-        // had an outer registration) a still-current one.
-        match current_worker_token() {
-            None => {}
-            Some(t) => {
-                assert!(t.is_current(), "restored token must be live");
-                assert_ne!(t, a_token, "a's released token must not return");
-            }
-        }
-        assert!(!a_token.is_current(), "a's registration was released");
+        assert_eq!(slot(), NO_SLOT, "b restores nothing");
+        c.record_get();
+        assert_eq!(c.snapshot().gets, 2);
     }
 
     #[test]
     fn worker_registration_is_scoped_and_nestable() {
-        let _workers = crate::test_support::pool::worker_serial();
         let c = Counters::new();
         let outer = register_worker();
         c.record_get();

@@ -10,8 +10,8 @@
 //! [`crate::arena::SlotArena`] builds chunk reclamation on:
 //!
 //! * A **pinned** thread ([`pin`]) advertises the global epoch it observed
-//!   in a private cache-padded cell.  All raw-pointer reads of arena chunk
-//!   memory happen under a pin.
+//!   in a cache-padded cell it holds for as long as it stays pinned.  All
+//!   raw-pointer reads of arena chunk memory happen under a pin.
 //! * Memory retired at epoch `e` (the arena's limbo list of unmapped
 //!   chunks) may be freed once the global epoch reaches `e + 2` — two
 //!   *grace periods*.
@@ -26,6 +26,7 @@
 //!
 //! [`pin`] loads the global epoch, stores it into the thread's cell, issues
 //! a `SeqCst` fence, and re-checks the global epoch (retrying if it moved).
+//! (The first store of a pin section is the CAS that claims the cell.)
 //! The fence gives the one ordering fact the grace-period argument needs:
 //! in the `SeqCst` total order, either the advancer's scan sees the
 //! thread's advertisement (and refuses to advance), or the pinner's fence —
@@ -36,20 +37,24 @@
 //! handed back to the allocator.  (This is the classic EBR recipe; see
 //! SNIPPETS.md §3 for the reference implementation shape.)
 //!
-//! Pins nest: only the outermost [`pin`] writes the cell and pays the
+//! Pins nest: only the outermost [`pin`] writes a cell and pays the
 //! fence; inner pins bump a thread-local depth counter.
 //!
 //! # Cells and overflow
 //!
 //! The domain is **process-global** (all arenas share it): a pin is a
 //! statement about the *thread*, not about one arena, and conservative
-//! pins only delay reclamation, never break it.  Each thread lazily claims
-//! one of [`PIN_CELLS`] cache-padded cells for its lifetime (released at
-//! thread exit).  When more threads than cells exist, the excess threads
-//! pin through a shared *overflow counter* instead; a non-zero overflow
-//! count blocks epoch advancement entirely while held, which is
-//! conservative but correct (and unreachable in practice: pool sizes are
-//! far below [`PIN_CELLS`]).
+//! pins only delay reclamation, never break it.  There are [`PIN_CELLS`]
+//! cache-padded cells, and a cell is held for one **pin section**, not for
+//! a thread's lifetime: the outermost [`pin`] claims a cell by CAS-ing it
+//! from `UNPINNED` to the epoch it advertises (starting at the thread's
+//! `counters::thread_home` index and walking on while cells are taken), and
+//! the outermost unpin's store of `UNPINNED` hands it back.  A pool of
+//! thousands of threads therefore contends for cells only with the threads
+//! pinned at the same moment — the running ones, plus any preempted
+//! mid-section.  When all cells are taken, the thread pins through a shared
+//! *overflow counter* instead; a non-zero overflow count blocks epoch
+//! advancement entirely while held, which is conservative but correct.
 //!
 //! Registered workers (see [`crate::counters::register_worker`]) and
 //! unregistered threads (the root task's thread, plain `std::thread`
@@ -62,8 +67,11 @@ use std::sync::atomic::{fence, AtomicU64, AtomicUsize, Ordering};
 
 use crossbeam_utils::CachePadded;
 
-/// Number of per-thread pin cells (beyond this, threads pin through the
-/// shared overflow counter, which blocks advancement while held).
+use crate::counters::thread_home;
+
+/// Number of pin cells (with this many threads pinned at once, further
+/// ones pin through the shared overflow counter, which blocks advancement
+/// while held).
 pub const PIN_CELLS: usize = 64;
 
 /// The cell value meaning "not pinned".  Real epochs start at
@@ -76,112 +84,82 @@ const FIRST_EPOCH: u64 = 2;
 
 static GLOBAL_EPOCH: AtomicU64 = AtomicU64::new(FIRST_EPOCH);
 
-/// Per-thread advertisement cells.  `claim` is 0 when free, 1 when some
-/// live thread owns the cell; `epoch` is the owner's advertised epoch (or
-/// [`UNPINNED`]).  Separate atomics: the claim word is touched once per
-/// thread lifetime, the epoch word on every outermost pin/unpin.
-struct PinCell {
-    claim: AtomicU64,
-    epoch: AtomicU64,
-}
-
-static PIN_TABLE: [CachePadded<PinCell>; PIN_CELLS] = [const {
-    CachePadded::new(PinCell {
-        claim: AtomicU64::new(0),
-        epoch: AtomicU64::new(UNPINNED),
-    })
-}; PIN_CELLS];
+/// Advertisement cells: [`UNPINNED`] when free, else the epoch advertised
+/// by the thread that claimed the cell for its current pin section.
+static PIN_TABLE: [CachePadded<AtomicU64>; PIN_CELLS] =
+    [const { CachePadded::new(AtomicU64::new(UNPINNED)) }; PIN_CELLS];
 
 /// Number of threads currently pinned through the overflow path.
 static OVERFLOW_PINS: AtomicUsize = AtomicUsize::new(0);
 
-/// The calling thread's pin state: its claimed cell (if any), and the
-/// current pin nesting depth.  Dropped at thread exit, releasing the cell.
+/// `ThreadPin::held` while the current pin section went through the
+/// overflow counter.
+const OVERFLOW: usize = usize::MAX;
+
+/// The calling thread's pin state: the current pin nesting depth, and what
+/// the current outermost pin holds.
 struct ThreadPin {
-    cell: Cell<Option<usize>>,
     depth: Cell<usize>,
-    /// Whether the *current* outermost pin went through the overflow
-    /// counter (only meaningful while `depth > 0`).
-    overflowed: Cell<bool>,
+    /// The cell index held by the current outermost pin, or [`OVERFLOW`]
+    /// (only meaningful while `depth > 0`).
+    held: Cell<usize>,
 }
 
 impl ThreadPin {
     const fn new() -> Self {
         ThreadPin {
-            cell: Cell::new(None),
             depth: Cell::new(0),
-            overflowed: Cell::new(false),
+            held: Cell::new(OVERFLOW),
         }
     }
 
-    /// Lazily claims a pin cell for this thread (once per thread lifetime).
-    fn cell_index(&self) -> Option<usize> {
-        if let Some(idx) = self.cell.get() {
-            return Some(idx);
-        }
-        for (idx, cell) in PIN_TABLE.iter().enumerate() {
-            if cell.claim.load(Ordering::Relaxed) == 0
-                && cell
-                    .claim
-                    .compare_exchange(0, 1, Ordering::AcqRel, Ordering::Relaxed)
-                    .is_ok()
-            {
-                self.cell.set(Some(idx));
-                return Some(idx);
-            }
-        }
-        None
-    }
-
-    /// Outermost pin: advertise the current global epoch (or take the
-    /// overflow path when every cell is claimed by another thread).
+    /// Outermost pin: claim a cell by advertising the current global epoch
+    /// in it (or take the overflow path when every cell is taken).
     fn enter(&self) {
-        match self.cell_index() {
-            Some(idx) => {
-                let cell = &PIN_TABLE[idx];
-                let mut seen = GLOBAL_EPOCH.load(Ordering::Relaxed);
-                loop {
-                    cell.epoch.store(seen, Ordering::Relaxed);
-                    // The SeqCst fence orders the advertisement before every
-                    // subsequent chunk-pointer load, against the advancer's
-                    // SeqCst scan (module docs).
-                    fence(Ordering::SeqCst);
-                    let now = GLOBAL_EPOCH.load(Ordering::Relaxed);
-                    if now == seen {
-                        break;
-                    }
-                    seen = now;
-                }
-                self.overflowed.set(false);
+        let home = thread_home();
+        let mut seen = GLOBAL_EPOCH.load(Ordering::Relaxed);
+        for probe in 0..PIN_CELLS {
+            let idx = (home + probe) % PIN_CELLS;
+            let cell = &PIN_TABLE[idx];
+            // The CAS is both the claim and the advertisement.  Acquire
+            // pairs with the previous holder's Release unpin store.
+            if cell
+                .compare_exchange(UNPINNED, seen, Ordering::Acquire, Ordering::Relaxed)
+                .is_err()
+            {
+                continue;
             }
-            None => {
-                OVERFLOW_PINS.fetch_add(1, Ordering::SeqCst);
+            loop {
+                // The SeqCst fence orders the advertisement before every
+                // subsequent chunk-pointer load, against the advancer's
+                // SeqCst scan (module docs).
                 fence(Ordering::SeqCst);
-                self.overflowed.set(true);
+                let now = GLOBAL_EPOCH.load(Ordering::Relaxed);
+                if now == seen {
+                    break;
+                }
+                seen = now;
+                // The cell is ours until we store UNPINNED: re-advertise.
+                cell.store(seen, Ordering::Relaxed);
             }
+            self.held.set(idx);
+            return;
         }
+        OVERFLOW_PINS.fetch_add(1, Ordering::SeqCst);
+        fence(Ordering::SeqCst);
+        self.held.set(OVERFLOW);
     }
 
     /// Outermost unpin.
     fn exit(&self) {
-        if self.overflowed.get() {
-            OVERFLOW_PINS.fetch_sub(1, Ordering::SeqCst);
-        } else if let Some(idx) = self.cell.get() {
+        match self.held.get() {
+            OVERFLOW => {
+                OVERFLOW_PINS.fetch_sub(1, Ordering::SeqCst);
+            }
             // Release: publishes every read this pin section performed
-            // before an advancer (Acquire scan) treats the thread as gone.
-            PIN_TABLE[idx].epoch.store(UNPINNED, Ordering::Release);
-        }
-    }
-}
-
-impl Drop for ThreadPin {
-    fn drop(&mut self) {
-        debug_assert_eq!(self.depth.get(), 0, "thread exited while pinned");
-        if let Some(idx) = self.cell.get() {
-            // Hand the cell back for future threads.  Release pairs with
-            // the Acquire-side CAS of the next claimant.
-            PIN_TABLE[idx].epoch.store(UNPINNED, Ordering::Relaxed);
-            PIN_TABLE[idx].claim.store(0, Ordering::Release);
+            // before an advancer (Acquire scan) treats the thread as gone,
+            // and hands the cell to the next claimant.
+            idx => PIN_TABLE[idx].store(UNPINNED, Ordering::Release),
         }
     }
 }
@@ -193,7 +171,7 @@ thread_local! {
 /// An active pin on the calling thread (RAII).  While any [`PinGuard`]
 /// lives, no arena chunk the thread can reach through a chunk-table load is
 /// returned to the allocator.  `!Send`: the guard manipulates the pinning
-/// thread's own cell.
+/// thread's own pin state.
 #[must_use = "dropping the PinGuard immediately unpins the thread"]
 #[derive(Debug)]
 pub struct PinGuard {
@@ -261,7 +239,7 @@ pub fn try_advance() -> u64 {
         return global;
     }
     for cell in PIN_TABLE.iter() {
-        let e = cell.epoch.load(Ordering::SeqCst);
+        let e = cell.load(Ordering::SeqCst);
         if e != UNPINNED && e != global {
             return global;
         }
@@ -362,9 +340,9 @@ mod tests {
 
     #[test]
     fn pin_cells_are_recycled_after_thread_exit() {
-        // Spawn more sequential threads than PIN_CELLS; each claims a cell
-        // and releases it at exit, so sequential threads never exhaust the
-        // table (no overflow advancement block afterwards).
+        // Spawn more sequential threads than PIN_CELLS; a cell is held only
+        // for a pin section, so sequential threads never exhaust the table
+        // (no overflow advancement block afterwards).
         for _ in 0..(PIN_CELLS + 8) {
             std::thread::spawn(|| {
                 let _g = pin();
@@ -373,5 +351,36 @@ mod tests {
             .unwrap();
         }
         assert_eq!(OVERFLOW_PINS.load(Ordering::SeqCst), 0);
+    }
+
+    #[test]
+    fn more_live_threads_than_cells_still_pin_through_a_cell() {
+        // PIN_CELLS + 8 threads have all pinned once and are still alive
+        // (parked on a barrier, unpinned): none of them holds a cell, so a
+        // late thread — and each of them again — pins through the table,
+        // not through the overflow counter that blocks advancement.
+        let threads = PIN_CELLS + 8;
+        let barrier = Arc::new(std::sync::Barrier::new(threads + 1));
+        let through_cell = || {
+            let _g = pin();
+            THREAD_PIN.with(|tp| tp.held.get() != OVERFLOW)
+        };
+        let handles: Vec<_> = (0..threads)
+            .map(|_| {
+                let barrier = Arc::clone(&barrier);
+                std::thread::spawn(move || {
+                    let first = through_cell();
+                    barrier.wait();
+                    barrier.wait();
+                    first && through_cell()
+                })
+            })
+            .collect();
+        barrier.wait();
+        assert!(through_cell(), "the late thread found a free cell");
+        barrier.wait();
+        for h in handles {
+            assert!(h.join().unwrap());
+        }
     }
 }

@@ -10,8 +10,10 @@
 //! rather than one per promise.)
 //!
 //! [`PoolArc<T>`] removes it.  It is a hand-rolled `Arc` whose *storage*
-//! comes from the shared 256-byte block pool of [`crate::job`] (per-worker
-//! magazines over the generic epoch-claimed [`crate::magazine`] protocol):
+//! comes from the shared 256-byte block pool of [`crate::job`] (sharded
+//! magazines over the generic [`crate::magazine`] protocol, each locked for
+//! one alloc or free, so a cell created on the root thread is served from a
+//! magazine like one created on a worker):
 //!
 //! ```text
 //!   PoolArc<T> ──► ┌──────────────────────────────┐  one pooled block

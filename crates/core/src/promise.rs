@@ -277,7 +277,7 @@ impl<T, X> Drop for PromiseInner<T, X> {
 /// The single allocation itself is a *recycled refcount block*
 /// ([`PoolArc`]): promise cells whose record fits a 256-byte pool block —
 /// every ordinary promise and every fused completion cell with a
-/// reasonably-sized result type — come from the per-worker block magazines
+/// reasonably-sized result type — come from the sharded block magazines
 /// of [`crate::job`] instead of the global allocator, so creating a promise
 /// makes no allocator call in steady state.  Its diagnostic name, if any, is
 /// a [`Name`]: a plain name is one string, and a derived one (cell *n* of a

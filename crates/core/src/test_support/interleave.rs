@@ -1,33 +1,32 @@
-//! A deterministic virtual-interleaving harness for the generic
-//! epoch-claimed magazine protocol of [`crate::magazine`].
+//! A deterministic virtual-interleaving harness for the shard-lock magazine
+//! protocol of [`crate::magazine`].
 //!
-//! The seeded multi-thread stress suites catch protocol races only
-//! probabilistically: whether a claim-steal lands exactly between another
-//! worker's flush and its claim release depends on the scheduler's mood.
-//! This kit removes the scheduler from the picture, in the spirit of
-//! model-checking tools (POPACheck et al.): a single driver thread plays
-//! several *simulated workers* — real registrations in the worker-epoch
-//! table ([`crate::counters::sim`]), activated one step at a time — against
-//! one [`MagazinePool`] and **exhaustively enumerates every interleaving**
-//! of the workers' operation scripts over small bounded schedules.  Each
-//! operation (alloc, free, worker exit, death without flush, respawn) runs
-//! to completion as one atomic step; the enumeration covers every order in
-//! which the protocol's state-machine transitions (claim, adopt, refill,
-//! flush, release) can be driven against each other.
+//! Seeded multi-thread stress catches protocol races only probabilistically:
+//! whether a second thread arrives exactly while the first sits between its
+//! refill and its pop depends on the scheduler's mood.  This kit removes the
+//! scheduler from the picture, in the spirit of model-checking tools
+//! (POPACheck et al.): a single driver thread plays several *simulated
+//! threads* against one [`MagazinePool`], each operation split into the four
+//! steps the protocol has — **lock** (home shard, else its neighbour, else
+//! the shared path), **refill-or-flush**, **pop-or-push**, **unlock** — and
+//! **exhaustively enumerates every interleaving** of those steps over small
+//! bounded scripts.  A simulated thread parked between two steps keeps its
+//! [`ShardGuard`], exactly like a real thread preempted mid-operation.
 //!
-//! After **every step** the kit checks the two protocol invariants stated
-//! in the [`crate::magazine`] module docs:
+//! After **every step** the kit checks the invariants stated in the
+//! [`crate::magazine`] module docs:
 //!
-//! * **no double handout** — an allocated item is never already checked
-//!   out (caught by an outstanding-set membership test at alloc time), and
+//! * **exclusivity** — no two simulated threads hold the same shard;
+//! * **no double handout** — a popped item is never already checked out;
 //! * **no loss** — every item the backend ever created is accounted for:
-//!   `created == outstanding + cached-in-magazines + backstop-free-list`.
+//!   `created == outstanding + cached-in-magazines + backstop-free-list`;
+//! * **accounting** — magazine live deltas plus the shared-path counter
+//!   equal the outstanding count, and served + shared-path operations equal
+//!   the operations performed.
 //!
-//! At the end of every schedule the kit frees all held items, drains each
-//! touched magazine through a fresh adopting worker, and checks the pool
-//! ends empty with the backstop holding every created item — so items
-//! stranded behind a worker that died without flushing must be recoverable
-//! by adoption, on every schedule.
+//! At the end of every schedule the kit frees all held items, drains the
+//! pool, and checks it ends empty with the backstop holding every created
+//! item.
 //!
 //! Schedules are replayable: the exhaustive explorer is fully
 //! deterministic, the sampled explorer derives its schedules from a seed
@@ -40,41 +39,34 @@ use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
 
 use parking_lot::Mutex;
 
-use crate::counters::sim::{self, SimWorker};
-use crate::magazine::{MagazineBackend, MagazinePool, MAG_SHARDS};
+use crate::magazine::{MagazineBackend, MagazinePool, ShardGuard, MAG_SHARDS};
 use crate::test_support::rng;
 
-/// One step of a simulated worker's script.
+/// One operation of a simulated thread's script; each takes
+/// [`STEPS_PER_OP`] schedule steps.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum Op {
-    /// Allocate one item (magazine path when this worker holds/claims its
-    /// magazine, the shared backstop path on a live collision).
+    /// Allocate one item.
     Alloc,
-    /// Free the oldest item this worker holds (no-op when it holds none).
+    /// Free the oldest item this thread holds (four no-op steps when it
+    /// holds none).
     Free,
-    /// Retire cleanly: flush the magazine, release the claim, end the
-    /// registration — what `Context::flush_worker_caches` + worker exit do.
-    Exit,
-    /// Die without flushing: the registration's epoch is bumped but the
-    /// magazine keeps its claim word and contents — the case the adoption
-    /// half of the protocol exists for.
-    Die,
-    /// Re-register on the same slot id (only meaningful after `Exit`/`Die`;
-    /// the new registration adopts whatever its magazine holds).
-    Respawn,
 }
 
-/// One simulated worker: a slot offset into the kit's reserved id window
-/// plus its operation script.
-///
-/// Two scripts whose `slot_offset`s are congruent modulo
-/// [`MAG_SHARDS`] map onto the **same magazine** — that is how claim
-/// collisions and adoption are provoked.
+/// Schedule steps per [`Op`]: lock, refill-or-flush, pop-or-push, unlock.
+/// An operation that found both shards held does all its work (on the
+/// shared path) in the first step; its other three are no-ops.
+pub const STEPS_PER_OP: usize = 4;
+
+/// One simulated thread: its home shard plus its operation script.
 #[derive(Clone, Debug)]
 pub struct Script {
-    /// Offset into the kit's reserved slot-id window (`0..RESERVED_SLOTS`).
-    pub slot_offset: usize,
-    /// The operations, executed in order (interleaved with other scripts).
+    /// Home shard; two scripts with the same `home` contend for one lock.
+    pub home: usize,
+    /// Operations run to completion, in order, before the interleaved part
+    /// starts (to bring a magazine to a boundary).
+    pub warmup: Vec<Op>,
+    /// The operations whose steps are interleaved with the other scripts'.
     pub ops: Vec<Op>,
 }
 
@@ -83,20 +75,12 @@ pub struct Script {
 pub struct Outcome {
     /// Number of complete schedules executed.
     pub schedules: usize,
-    /// Total operation steps executed (invariants were checked after each).
+    /// Total interleaved steps executed (invariants were checked after each).
     pub steps: usize,
-}
-
-/// Size of the reserved slot-id window at the top of the tracked range.
-/// Script offsets must stay below `RESERVED_SLOTS - MAG_SHARDS`; the last
-/// shard's worth of ids is kept for the end-of-schedule drain workers.
-pub const RESERVED_SLOTS: usize = 64;
-
-fn base_slot() -> usize {
-    // The top of the tracked range: real registrations allocate ids densely
-    // from 0 and never reach it, so simulated workers cannot collide with
-    // them (see `counters::sim`).
-    sim::TRACKED_SLOTS - RESERVED_SLOTS
+    /// Interleaved operations that locked their home's neighbour.
+    pub neighbour_locks: usize,
+    /// Interleaved operations that found both shards held.
+    pub shared_path_ops: usize,
 }
 
 /// The kit's shared backstop: a free vector plus a fresh-item counter, with
@@ -123,8 +107,8 @@ impl KitBackend {
         self.free.lock().len()
     }
 
-    /// The shared-path allocation (what an unregistered or collided caller
-    /// does): pop the backstop, else create fresh.
+    /// The shared-path allocation (what a caller does when both shards are
+    /// held): pop the backstop, else create fresh.
     pub fn alloc_direct(&self) -> u32 {
         if let Some(item) = self.free.lock().pop() {
             return item;
@@ -173,199 +157,166 @@ impl MagazineBackend for KitBackend {
     }
 }
 
-struct WorkerState {
-    slot: usize,
-    sim: Option<SimWorker>,
+/// Where a simulated thread stands inside its current operation.
+enum Phase<'p> {
+    /// Between operations.
+    Idle,
+    /// Holding a shard, at some step after the lock.
+    Locked(ShardGuard<'p, u32>),
+    /// The operation already completed on the shared path (or had nothing
+    /// to free); its remaining steps are no-ops.
+    Finished,
+}
+
+struct SimThread<'p> {
+    home: usize,
     held: Vec<u32>,
+    phase: Phase<'p>,
 }
 
 /// One schedule's isolated world: a fresh pool, a fresh backend, and the
-/// simulated workers of the scripts.
-struct Sandbox {
-    pool: MagazinePool<u32>,
-    backend: KitBackend,
-    workers: Vec<WorkerState>,
+/// simulated threads of the scripts.
+struct Sandbox<'p> {
+    pool: &'p MagazinePool<u32>,
+    backend: &'p KitBackend,
+    threads: Vec<SimThread<'p>>,
     outstanding: HashSet<u32>,
     /// The shared-path live counter the real callers keep next to the pool
-    /// (the arena's `live_overflow`, the block pool's `GLOBAL_LIVE`):
-    /// +1 per shared-path alloc, -1 per shared-path free.
+    /// (the arena's `live_overflow`, the block pool's `GLOBAL_LIVE`).
     overflow: i64,
-    steps: usize,
+    /// Completed pops and pushes, magazine and shared path together.
+    moves: u64,
+    shared: u64,
+    neighbours: usize,
 }
 
-impl Sandbox {
-    fn new(scripts: &[Script]) -> Sandbox {
-        let workers = scripts
-            .iter()
-            .map(|s| {
-                assert!(
-                    s.slot_offset < RESERVED_SLOTS - MAG_SHARDS,
-                    "script offset {} collides with the drain window",
-                    s.slot_offset
-                );
-                let slot = base_slot() + s.slot_offset;
-                WorkerState {
-                    slot,
-                    sim: Some(SimWorker::register(slot)),
-                    held: Vec::new(),
+impl<'p> Sandbox<'p> {
+    /// Runs step `step` (0..[`STEPS_PER_OP`]) of `op` on thread `t`.
+    fn step(&mut self, t: usize, op: Op, step: usize, trace: &[usize]) {
+        let (pool, backend) = (self.pool, self.backend);
+        let thread = &mut self.threads[t];
+        match (step, std::mem::replace(&mut thread.phase, Phase::Idle)) {
+            (0, Phase::Idle) if op == Op::Free && thread.held.is_empty() => {
+                thread.phase = Phase::Finished;
+            }
+            (0, Phase::Idle) => match pool.try_lock_from(thread.home) {
+                Some(guard) => {
+                    self.neighbours += usize::from(guard.shard() != thread.home % MAG_SHARDS);
+                    thread.phase = Phase::Locked(guard);
                 }
-            })
-            .collect();
-        Sandbox {
-            pool: MagazinePool::new(),
-            backend: KitBackend::default(),
-            workers,
-            outstanding: HashSet::new(),
-            overflow: 0,
-            steps: 0,
-        }
-    }
-
-    fn step(&mut self, worker: usize, op: Op, trace: &[usize]) {
-        self.steps += 1;
-        let w = &mut self.workers[worker];
-        match op {
-            Op::Alloc => {
-                let sim = w.sim.as_ref().expect("Alloc requires a live worker");
-                let _active = sim.activate();
-                let item = match self.pool.alloc(&self.backend) {
-                    Some(item) => item,
-                    // Live collision: this worker's magazine is claimed by
-                    // another live registration — the shared path serves it,
-                    // exactly as the arena's/block pool's callers do.
-                    None => {
-                        self.overflow += 1;
-                        self.backend.alloc_direct()
-                    }
-                };
-                assert!(
-                    self.outstanding.insert(item),
-                    "DOUBLE HANDOUT of item {item} at step {} of schedule {trace:?}",
-                    self.steps
-                );
-                w.held.push(item);
-            }
-            Op::Free => {
-                if w.held.is_empty() {
-                    return;
-                }
-                let sim = w.sim.as_ref().expect("Free requires a live worker");
-                let item = w.held.remove(0);
-                assert!(self.outstanding.remove(&item), "freed item was not live");
-                let _active = sim.activate();
-                if let Err(item) = self.pool.free(&self.backend, item) {
-                    self.overflow -= 1;
-                    self.backend.free_direct(item);
-                }
-            }
-            Op::Exit => {
-                let sim = w.sim.take().expect("Exit requires a live worker");
-                {
-                    let _active = sim.activate();
-                    self.pool.flush_current_worker(&self.backend);
-                }
-                sim.die();
-            }
-            Op::Die => {
-                let sim = w.sim.take().expect("Die requires a live worker");
-                sim.die();
-            }
-            Op::Respawn => {
-                assert!(w.sim.is_none(), "Respawn requires a dead worker");
-                w.sim = Some(SimWorker::register(w.slot));
-            }
-        }
-        self.check_conservation(trace);
-    }
-
-    fn check_conservation(&self, trace: &[usize]) {
-        let created = self.backend.created();
-        let accounted = self.outstanding.len() + self.pool.cached() + self.backend.free_len();
-        assert_eq!(
-            created,
-            accounted,
-            "ITEM LOST OR DUPLICATED at step {} of schedule {trace:?}: \
-             created {created} != outstanding {} + cached {} + free {}",
-            self.steps,
-            self.outstanding.len(),
-            self.pool.cached(),
-            self.backend.free_len()
-        );
-        let live = self.pool.live() + self.overflow;
-        assert_eq!(
-            live,
-            self.outstanding.len() as i64,
-            "live accounting (magazines {} + overflow {}) disagrees with {} \
-             outstanding items",
-            self.pool.live(),
-            self.overflow,
-            self.outstanding.len()
-        );
-    }
-
-    /// End-of-schedule teardown: free everything, drain every touched
-    /// magazine through a fresh adopting worker, and verify the world ends
-    /// empty — items stranded behind dead claims must be recoverable.
-    fn finish(mut self, trace: &[usize]) -> usize {
-        // Free all held items through their owners (or the shared path when
-        // the owner died).
-        for w in &mut self.workers {
-            for item in w.held.drain(..) {
-                assert!(self.outstanding.remove(&item));
-                match &w.sim {
-                    Some(sim) => {
-                        let _active = sim.activate();
-                        if let Err(item) = self.pool.free(&self.backend, item) {
+                None => {
+                    self.shared += 1;
+                    self.moves += 1;
+                    match op {
+                        Op::Alloc => {
+                            self.overflow += 1;
+                            let item = backend.alloc_direct();
+                            Self::check_out(&mut self.outstanding, thread, item, trace);
+                        }
+                        Op::Free => {
                             self.overflow -= 1;
-                            self.backend.free_direct(item);
+                            let item = thread.held.remove(0);
+                            assert!(self.outstanding.remove(&item), "freed item was not live");
+                            backend.free_direct(item);
                         }
                     }
-                    None => {
-                        self.overflow -= 1;
-                        self.backend.free_direct(item);
+                    thread.phase = Phase::Finished;
+                }
+            },
+            (1, Phase::Locked(mut guard)) => {
+                match op {
+                    Op::Alloc => guard.refill_if_empty(backend),
+                    Op::Free => guard.flush_if_full(backend),
+                }
+                thread.phase = Phase::Locked(guard);
+            }
+            (2, Phase::Locked(mut guard)) => {
+                self.moves += 1;
+                match op {
+                    Op::Alloc => {
+                        let item = guard.pop(backend);
+                        Self::check_out(&mut self.outstanding, thread, item, trace);
+                    }
+                    Op::Free => {
+                        let item = thread.held.remove(0);
+                        assert!(self.outstanding.remove(&item), "freed item was not live");
+                        guard.push(backend, item);
                     }
                 }
+                thread.phase = Phase::Locked(guard);
+            }
+            // Unlock: the guard taken out of `phase` drops here.
+            (3, Phase::Locked(_) | Phase::Finished) => {}
+            (1 | 2, Phase::Finished) => thread.phase = Phase::Finished,
+            _ => unreachable!("step {step} in the wrong phase"),
+        }
+    }
+
+    fn check_out(
+        outstanding: &mut HashSet<u32>,
+        thread: &mut SimThread<'_>,
+        item: u32,
+        trace: &[usize],
+    ) {
+        assert!(
+            outstanding.insert(item),
+            "DOUBLE HANDOUT of item {item} in schedule {trace:?}"
+        );
+        thread.held.push(item);
+    }
+
+    fn check_invariants(&self, trace: &[usize]) {
+        let mut held_shards = HashSet::new();
+        for thread in &self.threads {
+            if let Phase::Locked(guard) = &thread.phase {
+                assert!(
+                    held_shards.insert(guard.shard()),
+                    "SHARD {} LOCKED TWICE in schedule {trace:?}",
+                    guard.shard()
+                );
             }
         }
-        // Retire the still-live workers cleanly.
-        for w in &mut self.workers {
-            if let Some(sim) = w.sim.take() {
-                {
-                    let _active = sim.activate();
-                    self.pool.flush_current_worker(&self.backend);
-                }
-                sim.die();
-            }
-        }
-        // Adoption drain: one fresh worker per touched shard claims the
-        // (possibly dead-claimed) magazine, then exits, flushing it.
-        let mut shards: Vec<usize> = self.workers.iter().map(|w| w.slot % MAG_SHARDS).collect();
-        shards.sort_unstable();
-        shards.dedup();
-        for shard in shards {
-            let drain_slot = base_slot() + RESERVED_SLOTS - MAG_SHARDS + shard;
-            let sim = SimWorker::register(drain_slot);
-            {
-                let _active = sim.activate();
-                // One alloc/free round trip forces the claim (adopting a
-                // dead one if present); the exit flush then drains it.
-                let item = self
+        let created = self.backend.created();
+        let (cached, free) = (self.pool.cached(), self.backend.free_len());
+        assert_eq!(
+            created,
+            self.outstanding.len() + cached + free,
+            "ITEM LOST OR DUPLICATED at the last step of schedule {trace:?}: created \
+             {created} != outstanding {} + cached {cached} + free {free}",
+            self.outstanding.len(),
+        );
+        assert_eq!(
+            self.pool.live() + self.overflow,
+            self.outstanding.len() as i64,
+            "live accounting (magazines {} + overflow {}) disagrees with the \
+             outstanding items in schedule {trace:?}",
+            self.pool.live(),
+            self.overflow,
+        );
+        assert_eq!(self.pool.shared_path_ops(), self.shared);
+        assert_eq!(self.pool.magazine_ops() + self.shared, self.moves);
+    }
+
+    /// End-of-schedule teardown: free everything, drain the pool, and
+    /// verify the world ends empty.
+    fn finish(mut self, trace: &[usize]) {
+        for thread in &mut self.threads {
+            assert!(matches!(thread.phase, Phase::Idle), "schedule ended mid-op");
+            for item in thread.held.drain(..) {
+                assert!(self.outstanding.remove(&item));
+                let mut guard = self
                     .pool
-                    .alloc(&self.backend)
-                    .expect("drain worker owns its magazine");
-                self.pool
-                    .free(&self.backend, item)
-                    .expect("drain worker frees through its magazine");
-                self.pool.flush_current_worker(&self.backend);
+                    .try_lock_from(thread.home)
+                    .expect("every shard is unlocked once all operations completed");
+                guard.push(self.backend, item);
             }
-            sim.die();
         }
+        self.pool.drain(self.backend);
         assert_eq!(
             self.pool.cached(),
             0,
-            "schedule {trace:?}: the drain pass must empty every magazine"
+            "schedule {trace:?}: drain left items"
         );
-        assert!(self.outstanding.is_empty());
         assert_eq!(
             self.backend.free_len(),
             self.backend.created(),
@@ -375,73 +326,97 @@ impl Sandbox {
         assert_eq!(
             self.pool.live() + self.overflow,
             0,
-            "schedule {trace:?}: live delta leaked (magazines {}, overflow {})",
-            self.pool.live(),
-            self.overflow
+            "schedule {trace:?}: live delta leaked"
         );
-        self.steps
     }
 }
 
-fn run_schedule(scripts: &[Script], schedule: &[usize]) -> usize {
-    let mut sandbox = Sandbox::new(scripts);
+fn run_schedule(scripts: &[Script], schedule: &[usize], out: &mut Outcome) {
+    let pool = MagazinePool::new();
+    let backend = KitBackend::default();
+    let mut sandbox = Sandbox {
+        pool: &pool,
+        backend: &backend,
+        threads: scripts
+            .iter()
+            .map(|s| SimThread {
+                home: s.home,
+                held: Vec::new(),
+                phase: Phase::Idle,
+            })
+            .collect(),
+        outstanding: HashSet::new(),
+        overflow: 0,
+        moves: 0,
+        shared: 0,
+        neighbours: 0,
+    };
+    // The warm-up is sequential and the same for every schedule, so it is
+    // checked once, not per step.
+    for (t, script) in scripts.iter().enumerate() {
+        for &op in &script.warmup {
+            for step in 0..STEPS_PER_OP {
+                sandbox.step(t, op, step, &[]);
+            }
+        }
+    }
+    sandbox.check_invariants(&[]);
+    let (warm_shared, warm_neighbours) = (sandbox.shared, sandbox.neighbours);
     let mut cursors = vec![0usize; scripts.len()];
-    for (step_no, &w) in schedule.iter().enumerate() {
-        let op = scripts[w].ops[cursors[w]];
-        cursors[w] += 1;
-        sandbox.step(w, op, &schedule[..=step_no]);
+    for (step_no, &t) in schedule.iter().enumerate() {
+        let op = scripts[t].ops[cursors[t] / STEPS_PER_OP];
+        let trace = &schedule[..=step_no];
+        sandbox.step(t, op, cursors[t] % STEPS_PER_OP, trace);
+        sandbox.check_invariants(trace);
+        cursors[t] += 1;
     }
-    sandbox.finish(schedule)
+    out.schedules += 1;
+    out.steps += schedule.len();
+    out.shared_path_ops += (sandbox.shared - warm_shared) as usize;
+    out.neighbour_locks += sandbox.neighbours - warm_neighbours;
+    sandbox.finish(schedule);
 }
 
-/// Serialises kit runs: the reserved slot-id window is shared process
-/// state, so two concurrently exploring tests would collide on
-/// registrations.
-fn kit_lock() -> parking_lot::MutexGuard<'static, ()> {
-    static KIT_LOCK: parking_lot::Mutex<()> = parking_lot::Mutex::new(());
-    KIT_LOCK.lock()
+fn step_counts(scripts: &[Script]) -> Vec<usize> {
+    scripts.iter().map(|s| s.ops.len() * STEPS_PER_OP).collect()
 }
 
-/// Exhaustively explores **every** interleaving of the scripts' operations
-/// (the full multinomial of the script lengths), replaying each schedule in
-/// a fresh sandbox and checking the no-double-handout / no-loss invariants
-/// after every step.  Panics (with the offending schedule) on any
-/// violation; returns the exploration size otherwise.
+/// Exhaustively explores **every** interleaving of the scripts' steps (the
+/// full multinomial of the step counts), replaying each schedule in a fresh
+/// sandbox and checking the invariants after every step.  Panics (with the
+/// offending schedule) on any violation; returns the exploration size
+/// otherwise.
 pub fn explore(scripts: &[Script]) -> Outcome {
-    let _guard = kit_lock();
-    let lens: Vec<usize> = scripts.iter().map(|s| s.ops.len()).collect();
     let mut outcome = Outcome::default();
-    let mut schedule: Vec<usize> = Vec::with_capacity(lens.iter().sum());
-    let mut remaining = lens.clone();
+    let mut remaining = step_counts(scripts);
+    let mut schedule: Vec<usize> = Vec::with_capacity(remaining.iter().sum());
     dfs(scripts, &mut remaining, &mut schedule, &mut outcome);
     outcome
 }
 
 fn dfs(scripts: &[Script], remaining: &mut [usize], schedule: &mut Vec<usize>, out: &mut Outcome) {
     if remaining.iter().all(|&r| r == 0) {
-        out.schedules += 1;
-        out.steps += run_schedule(scripts, schedule);
+        run_schedule(scripts, schedule, out);
         return;
     }
-    for w in 0..remaining.len() {
-        if remaining[w] == 0 {
+    for t in 0..remaining.len() {
+        if remaining[t] == 0 {
             continue;
         }
-        remaining[w] -= 1;
-        schedule.push(w);
+        remaining[t] -= 1;
+        schedule.push(t);
         dfs(scripts, remaining, schedule, out);
         schedule.pop();
-        remaining[w] += 1;
+        remaining[t] += 1;
     }
 }
 
 /// Explores `samples` schedules drawn deterministically from `seed`
-/// (xorshift over the eligible workers at each step) — the long-script
+/// (xorshift over the eligible threads at each step) — the long-script
 /// complement to [`explore`] when the full multinomial is too large.
 /// Replay any failure by re-running with the same seed.
 pub fn explore_sampled(scripts: &[Script], seed: u64, samples: usize) -> Outcome {
-    let _guard = kit_lock();
-    let lens: Vec<usize> = scripts.iter().map(|s| s.ops.len()).collect();
+    let lens = step_counts(scripts);
     let total: usize = lens.iter().sum();
     let mut outcome = Outcome::default();
     let mut state = seed | 1;
@@ -449,13 +424,12 @@ pub fn explore_sampled(scripts: &[Script], seed: u64, samples: usize) -> Outcome
         let mut remaining = lens.clone();
         let mut schedule = Vec::with_capacity(total);
         for _ in 0..total {
-            let eligible: Vec<usize> = (0..remaining.len()).filter(|&w| remaining[w] > 0).collect();
+            let eligible: Vec<usize> = (0..remaining.len()).filter(|&t| remaining[t] > 0).collect();
             let pick = eligible[(rng::xorshift(&mut state) % eligible.len() as u64) as usize];
             remaining[pick] -= 1;
             schedule.push(pick);
         }
-        outcome.schedules += 1;
-        outcome.steps += run_schedule(scripts, &schedule);
+        run_schedule(scripts, &schedule, &mut outcome);
     }
     outcome
 }

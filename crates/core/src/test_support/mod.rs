@@ -14,11 +14,9 @@
 //!   share, plus [`rng::seed_from_env`] so CI can vary the seeds between
 //!   runs (`STRESS_SEED`);
 //! * [`pool`] — serialization and settle-polling helpers for tests that
-//!   assert on the process-global block pool accounting or register
-//!   workers (process-global slot ids);
+//!   assert on the process-global block pool accounting;
 //! * [`interleave`] — the deterministic, model-checking-style interleaving
-//!   kit for the generic epoch-claimed magazine protocol (see
-//!   [`crate::magazine`]).
+//!   kit for the shard-lock magazine protocol (see [`crate::magazine`]).
 
 pub mod interleave;
 pub mod pool;

@@ -12,17 +12,6 @@ pub fn pool_serial() -> parking_lot::MutexGuard<'static, ()> {
     POOL_LOCK.lock()
 }
 
-/// Serialises tests that register workers
-/// ([`crate::counters::register_worker`]) within one test binary.  Worker
-/// slot ids are process-global and recycled LIFO, so a test that asserts on
-/// which slot (and so which magazine) a registration lands in would
-/// otherwise race every other test's registrations.  Where a test also
-/// takes [`pool_serial`], it takes that first.
-pub fn worker_serial() -> parking_lot::MutexGuard<'static, ()> {
-    static WORKER_LOCK: parking_lot::Mutex<()> = parking_lot::Mutex::new(());
-    WORKER_LOCK.lock()
-}
-
 /// Polls until the pool's outstanding-block count settles to `expected`
 /// (worker threads release their blocks a beat after joins return), then
 /// asserts it.

@@ -1,10 +1,10 @@
 //! Seeded multi-thread stress for the sharded verification data plane:
 //!
-//! * the arena's per-worker slot magazines — cross-thread free → re-alloc
-//!   cycles (a slot allocated by worker A, freed into worker B's magazine,
-//!   re-allocated by worker B), magazine flush on worker exit, and the
-//!   guarantee that generation validation keeps rejecting stale references
-//!   no matter which magazine a slot's index travelled through;
+//! * the arena's sharded slot magazines — cross-thread free → re-alloc
+//!   cycles (a slot allocated through worker A's home magazine, freed into
+//!   worker B's, re-allocated by worker B), the drain to the global list,
+//!   and the guarantee that generation validation keeps rejecting stale
+//!   references no matter which magazine a slot's index travelled through;
 //! * the lock-free alarm sink behind `Context::record_alarm` — concurrent
 //!   recorders with snapshot readers that never block them, and the
 //!   record-before-snapshot visibility contract (`alarms()` observes every
@@ -102,8 +102,8 @@ fn sharded_magazines_survive_cross_thread_free_and_realloc() {
                     }
                 }
             }
-            // Shard flush on worker exit: everything this worker cached goes
-            // back to the global free list.
+            // Drain on the way out: the last worker to get here leaves
+            // every magazine empty and every index on the global free list.
             arena.release_worker_shard();
             stale
         }));
@@ -120,8 +120,8 @@ fn sharded_magazines_survive_cross_thread_free_and_realloc() {
         assert!(!arena.is_live(*s));
     }
 
-    // All magazines were flushed on exit: an unregistered thread can drain
-    // recycled slots from the global list without growing the fresh region.
+    // All magazines were drained: this thread refills from the global list
+    // and takes every recycled slot without growing the fresh region.
     let footprint = arena.high_water_slots();
     assert!(
         footprint >= MAG_CAP / 2,

@@ -1,158 +1,154 @@
-//! Deterministic, exhaustive interleaving coverage for the generic
-//! epoch-claimed magazine protocol (`promise_core::magazine`), using the
+//! Deterministic, exhaustive interleaving coverage for the shard-lock
+//! magazine protocol (`promise_core::magazine`), using the
 //! model-checking-style kit of `promise_core::test_support::interleave`.
 //!
-//! Each test enumerates **every** interleaving of a small set of simulated
-//! worker scripts (or, for the long mixed script, a seeded sample of them)
-//! and checks the no-double-handout / no-loss invariants after every single
-//! step, plus full recoverability (adoption drain) at the end of every
-//! schedule.  A failure panics with the exact schedule, so any regression
-//! is immediately replayable.
+//! Each test enumerates **every** interleaving of the lock /
+//! refill-or-flush / pop-or-push / unlock steps of a small set of simulated
+//! threads (or, for the long boundary scripts, a seeded sample of them) and
+//! checks exclusivity, no-double-handout, no-loss and the accounting
+//! identities after every single step, plus a full drain at the end of
+//! every schedule.  A failure panics with the exact schedule, so any
+//! regression is immediately replayable.
 //!
-//! Worker slot offsets congruent modulo `MAG_SHARDS` (16) share one
-//! magazine — that is how the claim-vs-adopt and collision cases are
-//! provoked on purpose.
+//! Simulated threads with the same `home` contend for one lock: the loser
+//! takes the neighbouring shard, and with that held too, the shared path.
 
-use promise_core::magazine::MAG_CAP;
-use promise_core::test_support::interleave::{explore, explore_sampled, Op, Outcome, Script};
+use promise_core::magazine::{MAG_CAP, MAG_REFILL};
+use promise_core::test_support::interleave::{
+    explore, explore_sampled, Op, Outcome, Script, STEPS_PER_OP,
+};
 use promise_core::test_support::rng::seed_from_env_echoed;
 
-fn ops(pattern: &[Op]) -> Vec<Op> {
-    pattern.to_vec()
+fn script(home: usize, ops: &[Op]) -> Script {
+    Script {
+        home,
+        warmup: Vec::new(),
+        ops: ops.to_vec(),
+    }
 }
 
-/// Claim vs. adopt: worker A (offset 0) allocates, then dies *without*
-/// flushing; worker B (offset 16 — same magazine) runs its own alloc/free
-/// script.  Depending on the schedule, B's operations land before A's death
-/// (live collision → B takes the shared path), between A's steps, or after
-/// it (B adopts A's magazine with its cached items).  Every one of the
-/// C(8,4) = 70 interleavings must preserve the invariants and end fully
-/// drained.
+/// Two threads homed on one shard, an alloc and a free each.  Depending on
+/// the schedule the second arrives before the first locks, while it is
+/// parked at any of its three held steps (→ the neighbour serves it, and
+/// its free may land in a different magazine than its alloc came from), or
+/// after the unlock (→ it is served from what the first left cached).
+/// C(16,8) = 12 870 interleavings.
 #[test]
-fn claim_vs_adopt_exhaustive() {
+fn two_threads_one_shard_exhaustive() {
     let scripts = [
-        Script {
-            slot_offset: 0,
-            ops: ops(&[Op::Alloc, Op::Alloc, Op::Free, Op::Die]),
-        },
-        Script {
-            slot_offset: 16,
-            ops: ops(&[Op::Alloc, Op::Free, Op::Alloc, Op::Free]),
-        },
+        script(0, &[Op::Alloc, Op::Free]),
+        script(0, &[Op::Alloc, Op::Free]),
     ];
     let out = explore(&scripts);
     assert_eq!(
-        out.schedules, 70,
-        "C(8,4) interleavings of two 4-op scripts"
+        out.schedules, 12_870,
+        "C(16,8) interleavings of 8 + 8 steps"
     );
-    assert!(out.steps >= out.schedules * 8);
+    assert_eq!(out.steps, out.schedules * 4 * STEPS_PER_OP);
+    assert!(out.neighbour_locks > 0, "some schedule took the neighbour");
+    assert_eq!(
+        out.shared_path_ops, 0,
+        "two threads never exhaust two probes"
+    );
 }
 
-/// Clean exit vs. concurrent claim: A flushes and releases mid-schedule;
-/// B's steps before the release collide (shared path), steps after it claim
-/// the freshly released magazine.  Also covers release → re-claim by A's
-/// respawn.
+/// Three threads homed on one shard: with the first parked holding the
+/// home shard and the second parked holding the neighbour, the third finds
+/// both probes taken and allocates on the shared path — concurrently with
+/// the other two's refills from the same backstop.
+/// 12!/(4!·4!·4!) = 34 650 interleavings.
 #[test]
-fn exit_release_vs_reclaim_exhaustive() {
+fn three_threads_one_shard_reach_the_shared_path_exhaustive() {
     let scripts = [
+        script(5, &[Op::Alloc]),
+        script(5, &[Op::Alloc]),
+        script(5, &[Op::Alloc]),
+    ];
+    let out = explore(&scripts);
+    assert_eq!(out.schedules, 34_650);
+    assert!(out.neighbour_locks > 0);
+    assert!(
+        out.shared_path_ops > 0,
+        "some schedule exhausted both probes"
+    );
+}
+
+/// Three threads on two adjacent shards, the last one (`MAG_SHARDS - 1`)
+/// wrapping onto shard 0: thread A's fallback is thread B's home, so a
+/// parked A can push B onto shard 0 and a parked B leaves A's rival with
+/// nothing.  The second round has the rival come in holding an item and
+/// *free* it, so a shared-path free (and a free into a magazine other than
+/// the one the item came from) runs against the other two's refills.
+#[test]
+fn three_threads_two_shards_exhaustive() {
+    let scripts = [
+        script(14, &[Op::Alloc]),
+        script(15, &[Op::Alloc]),
+        script(14, &[Op::Alloc]),
+    ];
+    let out = explore(&scripts);
+    assert_eq!(out.schedules, 34_650);
+    assert!(out.neighbour_locks > 0);
+    assert!(out.shared_path_ops > 0);
+
+    let scripts = [
+        script(14, &[Op::Alloc]),
+        script(15, &[Op::Alloc]),
         Script {
-            slot_offset: 0,
-            ops: ops(&[Op::Alloc, Op::Exit, Op::Respawn, Op::Alloc, Op::Free]),
-        },
-        Script {
-            slot_offset: 16,
-            ops: ops(&[Op::Alloc, Op::Alloc, Op::Free, Op::Free]),
+            home: 14,
+            warmup: vec![Op::Alloc],
+            ops: vec![Op::Free],
         },
     ];
     let out = explore(&scripts);
-    assert_eq!(out.schedules, 126, "C(9,4) interleavings");
+    assert_eq!(out.schedules, 34_650);
+    assert!(out.shared_path_ops > 0);
 }
 
-/// Flush vs. refill through the shared backstop: three workers on three
-/// *different* magazines (offsets 0, 1, 2) churn alloc/free so refills and
-/// flushes interleave arbitrarily against each other on the shared backend.
-/// 9!/(3!·3!·3!) = 1680 schedules.
+/// `n` allocations followed by `m` frees, run to completion.
+fn churn(allocs: usize, frees: usize) -> Vec<Op> {
+    let mut ops = vec![Op::Alloc; allocs];
+    ops.extend(vec![Op::Free; frees]);
+    ops
+}
+
+/// Flush vs. refill through the shared backstop, on three magazines no two
+/// of which are neighbours.  Thread A's warm-up leaves its magazine full
+/// (65 allocs take three refills and leave 31 cached; 33 frees make 64) with
+/// items still in hand, so its free flushes the oldest half; B and C start
+/// empty, so their allocs refill — from A's flushed batch or from the fresh
+/// region, depending on which side of A's flush step they run.
 #[test]
 fn flush_vs_refill_across_magazines_exhaustive() {
     let scripts = [
         Script {
-            slot_offset: 0,
-            ops: ops(&[Op::Alloc, Op::Free, Op::Alloc]),
+            home: 0,
+            warmup: churn(MAG_CAP + 1, MAG_REFILL + 1),
+            ops: vec![Op::Free],
         },
-        Script {
-            slot_offset: 1,
-            ops: ops(&[Op::Alloc, Op::Alloc, Op::Free]),
-        },
-        Script {
-            slot_offset: 2,
-            ops: ops(&[Op::Alloc, Op::Free, Op::Exit]),
-        },
+        script(2, &[Op::Alloc]),
+        script(4, &[Op::Alloc]),
     ];
     let out = explore(&scripts);
-    assert_eq!(out.schedules, 1680);
+    assert_eq!(out.schedules, 34_650);
+    assert_eq!(out.neighbour_locks, 0, "the three shards never collide");
 }
 
-/// Death and double adoption: A dies with cached items; B and C (all three
-/// congruent mod 16) race to adopt — whichever claims first owns the
-/// magazine, the other collides onto the shared path.  Exhaustive over
-/// C(9,3)·C(6,3) = 1680 schedules.
-#[test]
-fn dead_magazine_contended_adoption_exhaustive() {
-    let scripts = [
-        Script {
-            slot_offset: 0,
-            ops: ops(&[Op::Alloc, Op::Alloc, Op::Die]),
-        },
-        Script {
-            slot_offset: 16,
-            ops: ops(&[Op::Alloc, Op::Free, Op::Exit]),
-        },
-        Script {
-            slot_offset: 32,
-            ops: ops(&[Op::Alloc, Op::Free, Op::Exit]),
-        },
-    ];
-    let out = explore(&scripts);
-    assert_eq!(out.schedules, 1680);
-}
-
-/// Magazine boundary behaviour under interleaving: enough allocations to
-/// cross a refill boundary and enough frees to land back, interleaved with
-/// a same-magazine rival.  Scripts are longer here, so the explorer samples
-/// a seeded subset of the schedule space; re-run with the same
-/// `STRESS_SEED` to replay.
+/// Magazine boundary behaviour under interleaving: two threads on one shard
+/// whose scripts cross refill boundaries on the way up and flush boundaries
+/// on the way down.  Scripts are long here, so the explorer samples a
+/// seeded subset of the schedule space; re-run with the same `STRESS_SEED`
+/// to replay.
 #[test]
 fn boundary_churn_sampled_by_seed() {
-    let churn = MAG_CAP / 8; // 8 — keeps each schedule meaningful but quick
-    let mut a = Vec::new();
-    for _ in 0..churn {
-        a.push(Op::Alloc);
-    }
-    for _ in 0..churn {
-        a.push(Op::Free);
-    }
-    a.push(Op::Die);
-    let mut b = vec![Op::Alloc, Op::Alloc];
-    for _ in 0..churn {
-        b.push(Op::Alloc);
-        b.push(Op::Free);
-    }
-    b.push(Op::Free);
-    b.push(Op::Free);
-    b.push(Op::Exit);
     let scripts = [
-        Script {
-            slot_offset: 0,
-            ops: a,
-        },
-        Script {
-            slot_offset: 16,
-            ops: b,
-        },
+        script(0, &churn(MAG_CAP + 6, MAG_CAP + 6)),
+        script(0, &churn(MAG_REFILL + 3, MAG_REFILL + 3)),
     ];
     let seed = seed_from_env_echoed(0x5eed_1e1e_a5ed_c0de, "magazine_interleave");
     let out: Outcome = explore_sampled(&scripts, seed, 400);
     assert_eq!(out.schedules, 400);
+    assert!(out.neighbour_locks > 0);
 }
 
 /// The kit itself is deterministic: the same seed explores the same
@@ -160,21 +156,9 @@ fn boundary_churn_sampled_by_seed() {
 #[test]
 fn sampled_exploration_replays_by_seed() {
     let scripts = [
-        Script {
-            slot_offset: 0,
-            ops: ops(&[
-                Op::Alloc,
-                Op::Alloc,
-                Op::Free,
-                Op::Die,
-                Op::Respawn,
-                Op::Exit,
-            ]),
-        },
-        Script {
-            slot_offset: 16,
-            ops: ops(&[Op::Alloc, Op::Free, Op::Exit]),
-        },
+        script(0, &[Op::Alloc, Op::Alloc, Op::Free, Op::Free]),
+        script(0, &[Op::Alloc, Op::Free]),
+        script(1, &[Op::Alloc, Op::Free]),
     ];
     let a = explore_sampled(&scripts, 42, 64);
     let b = explore_sampled(&scripts, 42, 64);

@@ -24,14 +24,13 @@
 //! held.  Every schedule must end with the chunk actually freed once the
 //! pin is gone.
 //!
-//! A note on "death with a non-empty limbo": limbo is **arena-global by
-//! design** — retired chunks are parked on the arena itself, not on the
-//! retiring thread — so a thread dying after `reclaim()` strands nothing.
-//! What a dying worker *can* strand is its magazine of cached slot
-//! indices, which blocks the hold-all-indices retire condition for the
-//! affected chunk until another worker adopts and flushes that magazine.
-//! `dead_worker_magazine_blocks_retire_until_adoption` covers that path
-//! end to end.
+//! A note on thread death: limbo is **arena-global by design** — retired
+//! chunks are parked on the arena itself, not on the retiring thread — and
+//! so are the magazines of cached slot indices, so a dying thread strands
+//! nothing.  What the magazines *do* is hold indices, which blocks the
+//! hold-all-indices retire condition for the affected chunk until they are
+//! drained.  `cached_indices_block_retire_until_drained` covers that path
+//! end to end, with the caching thread dead by the time of the drain.
 //!
 //! Tests serialise on a file-level lock: the pin table and global epoch
 //! are process-wide, and the `bytes_freed == 0` assertions are only
@@ -41,7 +40,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use parking_lot::{Mutex, MutexGuard};
 use promise_core::arena::{SlotArena, SlotValue, CHUNK_SIZE};
-use promise_core::counters::sim::{self, SimWorker};
 use promise_core::epoch::{self, PinGuard};
 use promise_core::refs::PackedRef;
 use promise_core::test_support::rng::{seed_from_env_echoed, xorshift};
@@ -435,55 +433,43 @@ fn seeded_multi_wave_churn_with_pinned_reads() {
     );
 }
 
-/// A worker that dies with slot indices cached in its magazine blocks the
-/// hold-all-indices retire condition for the affected chunk — until an
-/// adopting worker claims the dead magazine and flushes it, after which
-/// the chunk retires and frees normally.  (The arena-side analog of the
-/// magazine kit's adoption drain; limbo itself is arena-global, so death
-/// *after* a retire strands nothing.)
+/// Slot indices cached in a magazine block the hold-all-indices retire
+/// condition for the affected chunk — `reclaim()` does not drain magazines
+/// — until `release_worker_shard()` drains them, after which the chunk
+/// retires and frees normally.  The thread that cached them is dead by
+/// then and ran no exit hook: the cache belongs to the arena, so any thread
+/// can drain it.
 #[test]
-fn dead_worker_magazine_blocks_retire_until_adoption() {
+fn cached_indices_block_retire_until_drained() {
     let _guard = test_lock();
     let arena: SlotArena<Cell> = SlotArena::new(); // magazines on
-    let slot = sim::TRACKED_SLOTS - 1;
 
-    // Worker A allocates a chunk's worth and frees it all; the tail of the
-    // frees stays cached in A's magazine.  A then dies without flushing.
-    let a = SimWorker::register(slot);
-    let refs: Vec<_> = {
-        let _active = a.activate();
-        (0..CHUNK_SIZE).map(|_| arena.alloc()).collect()
-    };
-    {
-        let _active = a.activate();
-        for r in refs {
-            arena.free(r);
-        }
-    }
-    a.die();
+    // A thread allocates a chunk's worth and frees it all; the tail of the
+    // frees stays cached in whichever magazine served it.  Then it dies.
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            let refs: Vec<_> = (0..CHUNK_SIZE).map(|_| arena.alloc()).collect();
+            for r in refs {
+                arena.free(r);
+            }
+        });
+    });
     assert_eq!(arena.live(), 0);
 
-    // The chunk cannot retire: the dead magazine holds some of its indices.
+    // The chunk cannot retire: a magazine holds some of its indices.
     for _ in 0..8 {
         let _ = epoch::try_advance();
         assert_eq!(
             arena.reclaim(),
             0,
-            "no chunk may retire while a dead magazine caches its indices"
+            "no chunk may retire while a magazine caches its indices"
         );
         assert_eq!(arena.chunks_reclaimed(), 0);
     }
 
-    // Worker B adopts A's magazine (same slot ⇒ same shard), flushes it on
-    // release, and the chunk becomes fully free.
-    let b = SimWorker::register(slot);
-    {
-        let _active = b.activate();
-        let r = arena.alloc(); // claims (adopts) the dead magazine
-        arena.free(r);
-        arena.release_worker_shard();
-    }
-    b.die();
+    // Draining from this thread — not the one that cached — makes the
+    // chunk fully free.
+    arena.release_worker_shard();
 
     let _ = epoch::try_advance();
     let _ = epoch::try_advance();
@@ -493,7 +479,7 @@ fn dead_worker_magazine_blocks_retire_until_adoption() {
     arena.reclaim();
     assert!(
         arena.bytes_freed() > 0,
-        "after adoption flush the chunk must retire and free"
+        "after the drain the chunk must retire and free"
     );
     assert!(arena.chunks_reclaimed() >= 1);
 }

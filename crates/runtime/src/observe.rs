@@ -254,6 +254,16 @@ impl Sources {
                 memory.chunks_reclaimed,
                 "counter",
             ),
+            (
+                "promise_arena_magazine_ops_total",
+                memory.magazine_ops,
+                "counter",
+            ),
+            (
+                "promise_arena_shared_path_total",
+                memory.shared_path_ops,
+                "counter",
+            ),
         ] {
             push_family(&mut out, name, kind, value);
         }
@@ -489,6 +499,8 @@ fn sampler_loop(
             push_json_field(&mut line, "peak_resident_bytes", memory.peak_resident_bytes);
             push_json_field(&mut line, "bytes_freed", memory.bytes_freed);
             push_json_field(&mut line, "chunks_reclaimed", memory.chunks_reclaimed);
+            push_json_field(&mut line, "magazine_ops", memory.magazine_ops);
+            push_json_field(&mut line, "shared_path_ops", memory.shared_path_ops);
             line.push('}');
             line.push_str(",\"tasks\":{");
             push_json_field(&mut line, "live", sources.ctx.live_tasks());
@@ -596,6 +608,7 @@ mod tests {
             "promise_pool_workers",
             "promise_pool_steal_probes_total",
             "promise_memory_resident_bytes",
+            "promise_arena_shared_path_total",
             "promise_alarms_total",
         ] {
             assert!(

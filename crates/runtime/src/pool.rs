@@ -23,13 +23,12 @@ use parking_lot::{Condvar, Mutex};
 use promise_core::{Executor, Job, RejectedBatch, RejectedJob};
 
 /// A callback every worker thread runs as it retires (still on the worker
-/// thread, while its worker registration is active).
+/// thread).
 ///
-/// The runtime uses this to flush the worker's per-worker caches — arena
-/// slot magazines and the shared block pool's magazines (job records and
-/// pooled promise cells), all instances of the generic epoch-claimed
-/// magazine of `promise_core::magazine` — back to their global free lists
-/// (see `promise_core::Context::flush_worker_caches`).
+/// The runtime uses this to sweep fully-free arena chunks when the pool
+/// shrinks (`promise_core::Context::reclaim_memory`).  A retiring worker
+/// holds no cache of its own to flush: the magazines of
+/// `promise_core::magazine` belong to the arenas and the block pool.
 pub type WorkerExitHook = Arc<dyn Fn() + Send + Sync>;
 
 /// Configuration of a [`GrowingPool`].
@@ -303,10 +302,7 @@ impl GrowingPool {
         }
         state.current_workers -= 1;
         drop(state);
-        // Retirement hook (outside the pool lock, before the counter-slot
-        // registration guard drops, so the magazines claimed under this
-        // registration can still be identified and flushed — see the
-        // worker-exit drain of `promise_core::magazine`).
+        // Retirement hook, outside the pool lock (it sweeps arena chunks).
         if let Some(hook) = &inner.config.worker_exit_hook {
             hook();
         }

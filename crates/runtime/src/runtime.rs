@@ -433,15 +433,18 @@ impl RuntimeBuilder {
             _ => None,
         };
         let ctx = Context::new_instrumented(self.policy, chaos, self.event_log);
-        // Retiring workers flush their per-worker magazines (arena slots,
-        // job/promise-cell blocks) back to the global free lists.  Weak: the
-        // context holds the scheduler as its executor, so a strong reference
-        // here would leak both in a cycle.
+        // A retiring worker means the pool is shrinking: a natural low point
+        // to sweep fully-free arena chunks (worker exit is rare, and reclaim
+        // never blocks the data plane).  The worker itself has nothing to
+        // hand back — the magazines it allocated through belong to the
+        // arenas and the block pool, not to it.  Weak: the context holds the
+        // scheduler as its executor, so a strong reference here would leak
+        // both in a cycle.
         let mut pool_config = self.pool;
         let weak_ctx = Arc::downgrade(&ctx);
         pool_config.worker_exit_hook = Some(Arc::new(move || {
             if let Some(ctx) = weak_ctx.upgrade() {
-                ctx.flush_worker_caches();
+                ctx.reclaim_memory();
             }
         }));
         let pool = match self.kind {

@@ -1477,10 +1477,9 @@ fn worker_entry(state: Arc<SchedState>, idx: usize, deque: WorkerDeque, stamp: A
     });
     let _reset = ResetTls;
     state.worker_loop(idx, &local, &stamp);
-    // Retirement hook (while the counter-slot registration is still active,
-    // so the per-worker magazines claimed under it — arena slots, job and
-    // promise-cell blocks; see `promise_core::magazine` — can be identified
-    // and flushed instead of waiting for adoption).
+    // Retirement hook: the runtime sweeps fully-free arena chunks here.  The
+    // worker has no cache of its own to hand back (see
+    // `promise_core::magazine`).
     if let Some(hook) = &state.config.base.worker_exit_hook {
         hook();
     }

@@ -22,9 +22,9 @@
 //!   into the slot and `join` `take`s it after the completion promise
 //!   resolves — the mutex side channel is gone;
 //! * the job closure lives in a thin, **recycled block**
-//!   ([`promise_core::Job`]): per-worker block magazines (the generic
-//!   epoch-claimed protocol of `promise_core`'s `magazine` module) recycle
-//!   the record storage, and the thin record pointer is stored directly in
+//!   ([`promise_core::Job`]): sharded block magazines (the generic
+//!   per-operation-locked protocol of `promise_core`'s `magazine` module)
+//!   recycle the record storage, and the thin record pointer is stored in
 //!   the deque slots (the old double box is gone structurally);
 //! * the fused cell itself is a **pooled refcount block**
 //!   ([`promise_core::PoolArc`]): the reference-counted record shared by

@@ -224,12 +224,12 @@ fn timed_get_storm_settles_every_waiter_with_exact_accounting() {
 }
 
 /// Panics that unwind through a worker holding magazine state: each
-/// panicking task claims arena slots (promises, child task records) from
-/// its worker's magazines before dying, and the short keep-alive retires
-/// workers between waves so their magazines must be adopted and drained by
-/// the epoch machinery.  The pool accounting has to balance afterwards —
-/// an orphaned magazine or a block leaked mid-unwind shows up as a
-/// non-zero residue — and every panic must be typed and counted.
+/// panicking task takes arena slots (promises, child task records) from
+/// the magazines before dying, and the short keep-alive retires workers
+/// between waves so what they cached must serve the next wave's threads.
+/// The pool accounting has to balance afterwards — a block leaked
+/// mid-unwind shows up as a non-zero residue — and every panic must be
+/// typed and counted.
 #[test]
 fn panics_holding_magazine_state_are_adopted_and_drained() {
     const WAVES: usize = 8;
@@ -281,8 +281,8 @@ fn panics_holding_magazine_state_are_adopted_and_drained() {
                 for (x, h) in fine {
                     assert_eq!(h.join().unwrap(), x.rotate_left(9));
                 }
-                // Outlive the keep-alive so idle workers retire and their
-                // magazines go through adoption before the next wave.
+                // Outlive the keep-alive so idle workers retire before the
+                // next wave.
                 std::thread::sleep(Duration::from_millis(45));
             }
             observed

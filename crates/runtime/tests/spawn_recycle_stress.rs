@@ -6,9 +6,11 @@
 //! recycled block would corrupt the seeded values) and the pool accounting
 //! must balance once the runtime quiesces.
 
+use promise_core::arena::CHUNK_SIZE;
 use promise_core::job::job_pool_stats;
 use promise_core::test_support::pool::{assert_outstanding_settles_to, pool_serial};
 use promise_core::test_support::rng::{lcg, seed_from_env_echoed};
+use promise_core::Promise;
 use promise_runtime::{spawn_batch, Runtime};
 
 #[test]
@@ -65,8 +67,13 @@ fn cross_worker_recycling_never_aliases_live_records() {
     assert_outstanding_settles_to(baseline);
 }
 
+/// Retiring workers have no cache of their own to flush (magazines belong
+/// to the arenas and the block pool), but the exit hook still sweeps the
+/// arenas: a burst of promises spanning several chunks is dropped, nobody
+/// calls `reclaim_memory`, and the chunks go back to the allocator once the
+/// workers retire by keep-alive.
 #[test]
-fn worker_exit_hook_drains_magazines_to_the_global_pool() {
+fn retiring_workers_still_reclaim_memory() {
     let _guard = pool_serial();
     let baseline = job_pool_stats().outstanding;
     let rt = Runtime::builder()
@@ -74,6 +81,13 @@ fn worker_exit_hook_drains_magazines_to_the_global_pool() {
         .worker_keep_alive(std::time::Duration::from_millis(20))
         .build();
     rt.block_on(|| {
+        let burst: Vec<Promise<u64>> = (0..4 * CHUNK_SIZE as u64)
+            .map(|i| {
+                let p = Promise::new();
+                p.set(i).unwrap();
+                p
+            })
+            .collect();
         let handles = spawn_batch(|batch| {
             for i in 0..256u64 {
                 batch.spawn((), move || i);
@@ -81,24 +95,27 @@ fn worker_exit_hook_drains_magazines_to_the_global_pool() {
         });
         let sum: u64 = handles.into_iter().map(|h| h.join().unwrap()).sum();
         assert_eq!(sum, (0..256u64).sum());
+        drop(burst);
     })
     .unwrap();
-    // Shutting down retires every worker; the exit hook
-    // (`Context::flush_worker_caches`) must flush each worker's block
-    // magazine, so nothing stays cached behind dead threads.
+    let resident_at_peak = rt.memory_stats().peak_resident_bytes;
+    let mut stats = rt.memory_stats();
+    for _ in 0..5000 {
+        if stats.bytes_freed > 0 {
+            break;
+        }
+        std::thread::sleep(std::time::Duration::from_millis(1));
+        stats = rt.memory_stats();
+    }
+    assert!(
+        stats.bytes_freed > 0 && stats.resident_bytes < resident_at_peak,
+        "a retiring worker's exit hook must reclaim the freed chunks: {stats:?}"
+    );
     rt.shutdown();
     assert_outstanding_settles_to(baseline);
-    let stats = job_pool_stats();
-    assert_eq!(
-        stats.cached, 0,
-        "retired workers must leave no blocks cached in magazines: {stats:?}"
-    );
-    assert!(
-        stats.free > 0,
-        "the flushed blocks are on the global free list: {stats:?}"
-    );
 
-    // The recycled blocks are immediately reusable by a fresh runtime.
+    // Blocks the retired workers cached stay in the pool for whoever comes
+    // next: a fresh runtime reuses them and the accounting still balances.
     let rt2 = Runtime::new();
     rt2.block_on(|| {
         let handles = spawn_batch(|batch| {

@@ -19,7 +19,7 @@
 //! current* (the chain's head and tail), not the payload, and deliberately
 //! serialise competing receivers on one end.  Under them a message costs one
 //! promise create, set and get: the cell record comes from the recycled
-//! refcount-block pool and its arena slot from the worker's magazine, so in
+//! refcount-block pool and its arena slot from a magazine, so in
 //! steady state a message makes **no allocator call**, named channel or not.
 //! A labelled channel allocates its label once, in `with_name`; cell *n* is
 //! named by the pair (label, *n*) and the text `label[n]` is written only if

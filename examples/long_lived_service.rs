@@ -77,7 +77,7 @@ fn main() {
 
             // The quiet period after the burst: reclaim at the low point.
             // Each call also nudges the reclamation epoch, so a few calls
-            // converge even while worker magazines drain lazily.
+            // converge.
             let mut freed_now = 0;
             for _ in 0..1_000 {
                 freed_now += rt.reclaim_memory();
