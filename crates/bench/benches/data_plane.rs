@@ -1,14 +1,16 @@
 //! Microbenchmarks of the verification data plane's shared state: arena
-//! allocation, detector traversal, and alarm recording.  Each benchmark
-//! pairs the current implementation with the retained pre-optimisation
-//! path, so the speedups this PR claims stay re-measurable:
+//! allocation, detector traversal, and alarm recording.  Where a "before"
+//! number is quoted for a path that no longer exists, the PR that measured
+//! it is named:
 //!
 //! * `arena/alloc-free` — one slot alloc + free from a lone thread.
 //!   `magazine` is the sharded magazine fast path (a try-lock CAS and an
 //!   unlock store around plain array operations; no shared free list, no
-//!   epoch pin); `global` is the retained single Treiber free list plus
-//!   global live/peak counters ([`SlotArena::new_global_only`]).
-//!   magazine ≈ 23 ns/op vs global ≈ 65 ns/op.
+//!   epoch pin); `global` is the shared fallback every thread takes when
+//!   both of its shard try-locks fail — the single Treiber free list plus
+//!   global live/peak counters — forced for every operation by
+//!   `SlotArena::new_global_only`.  magazine ≈ 23 ns/op vs global
+//!   ≈ 65 ns/op.
 //! * `arena/alloc-free-contended` — four threads hammering alloc/free on
 //!   one shared arena (2 000 pairs each per episode; the reported time is
 //!   one whole episode including thread spawn/join).  Magazines
@@ -40,29 +42,23 @@
 //!   `fast` is the pointer-direct traversal (one epoch pin for the whole
 //!   walk, chunk-cached resolver with remap-stamp revalidation,
 //!   single-validation line-6/9/13 reads, generation-fenced line-11 read on
-//!   the cached slot address, lazy report collection); `legacy` is the
-//!   retained pre-PR loop (seqlock double-validated closure reads through
-//!   the chunk table + eager report collection, now also paying one pin
-//!   *per read* through `SlotArena::read`).  fast ≈ 8.4 ns/step vs
-//!   legacy ≈ 53 ns/step — the generation-fenced pinned read is well below
-//!   the seqlock baseline, which the reclamation layer made strictly worse
-//!   (three pins per step), exactly the hoisting the detector's
-//!   walk-scoped pin avoids.
-//! * `alarm/record` — one alarm append.  `sink` is the lock-free segment
-//!   list ([`AlarmSink`]), `mutex` the retained `Mutex<Vec>` log
-//!   ([`MutexSink`]).  sink ≈ 20 ns vs mutex ≈ 29 ns uncontended; the
-//!   bigger win is that recorders and snapshot readers never block each
-//!   other.
+//!   the cached slot address, lazy report collection): ≈ 8.4 ns/step.  PR 6
+//!   measured the loop it replaced (seqlock double-validated closure reads
+//!   through the chunk table + eager report collection, one pin *per read*
+//!   through `SlotArena::read`; deleted in PR 15) at ≈ 53 ns/step — three
+//!   pins per step, exactly what the detector's walk-scoped pin hoists.
+//! * `alarm/record` — one alarm append to the lock-free segment list
+//!   ([`AlarmSink`]): ≈ 20 ns uncontended.  PR 3 measured the `Mutex<Vec>`
+//!   log it replaced (deleted in PR 15) at ≈ 29 ns; the bigger win is that
+//!   recorders and snapshot readers never block each other.
 //!
 //! (Numbers are medians of `cargo bench -p promise-bench --bench data_plane`
 //! on the 2-CPU container this repo is developed in — the arena, block and
 //! epoch arms refreshed at PR 14, the rest from the earlier 1-CPU box;
 //! re-run to refresh.)
 //!
-//! [`SlotArena::new_global_only`]: promise_core::arena::SlotArena::new_global_only
 //! [`epoch::pin`]: promise_core::epoch::pin
 //! [`AlarmSink`]: promise_core::AlarmSink
-//! [`MutexSink`]: promise_core::MutexSink
 
 use std::sync::{Arc, Barrier};
 
@@ -73,7 +69,7 @@ use promise_core::bench_support;
 use promise_core::counters::register_worker;
 use promise_core::epoch;
 use promise_core::slots::TaskSlot;
-use promise_core::{AlarmSink, Context, Job, MutexSink};
+use promise_core::{AlarmSink, Context, Job};
 
 /// Chain length for the detector walk (long enough that per-walk setup
 /// noise vanishes behind the per-step cost).
@@ -272,13 +268,6 @@ fn bench_detector_chain_walk(c: &mut Criterion) {
             assert!(!deadlocked);
         })
     });
-
-    group.bench_function("legacy", |b| {
-        b.iter(|| {
-            let deadlocked = bench_support::chain_walk_legacy(&ctx, t0, p0);
-            assert!(!deadlocked);
-        })
-    });
     group.finish();
 }
 
@@ -294,16 +283,6 @@ fn bench_alarm_record(c: &mut Criterion) {
             sink.push(black_box(7));
             if sink.len() >= 100_000 {
                 sink = AlarmSink::new();
-            }
-        })
-    });
-
-    let mutex: MutexSink<u64> = MutexSink::new();
-    group.bench_function("mutex", |b| {
-        b.iter(|| {
-            mutex.push(black_box(7));
-            if mutex.len() >= 100_000 {
-                mutex.clear();
             }
         })
     });

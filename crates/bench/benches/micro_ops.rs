@@ -16,108 +16,71 @@ use std::time::Duration;
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
-use promise_core::{HelpConfig, MutexCell, OneShotCell, Promise, VerificationMode};
+use promise_core::{HelpConfig, OneShotCell, Promise, VerificationMode};
 use promise_runtime::{spawn, Runtime, SchedulerKind};
 
-/// The two one-shot cell implementations under one bench-able surface: the
-/// retired mutex + condvar cell and the lock-free `AtomicU32` state machine
-/// that replaced it inside `Promise<T>`.
-trait BenchCell: Default + Send + Sync + 'static {
-    const LABEL: &'static str;
-    fn fill(&self, v: u64);
-    fn read(&self) -> u64;
-    fn wait_filled(&self);
+const CELL: &str = "lockfree-cell";
+
+fn filled_cell(v: u64) -> OneShotCell<u64> {
+    let cell = OneShotCell::new();
+    cell.try_fill(v, false).unwrap();
+    cell
 }
 
-impl BenchCell for OneShotCell<u64> {
-    const LABEL: &'static str = "lockfree-cell";
-    fn fill(&self, v: u64) {
-        self.try_fill(v, false).unwrap();
-    }
-    fn read(&self) -> u64 {
-        *self.get_ref().unwrap()
-    }
-    fn wait_filled(&self) {
-        if !self.is_filled() {
-            self.wait(None);
-        }
-    }
-}
-
-impl BenchCell for MutexCell<u64> {
-    const LABEL: &'static str = "mutex-cell";
-    fn fill(&self, v: u64) {
-        self.try_fill(v, false).unwrap();
-    }
-    fn read(&self) -> u64 {
-        self.read_with(|v| *v).unwrap()
-    }
-    fn wait_filled(&self) {
-        if !self.is_filled() {
-            self.wait(None);
-        }
-    }
-}
-
-/// Old cell vs new cell on the three shapes the tentpole targets:
+/// The one-shot cell on its three shapes:
 ///
 /// * `set_get_uncontended` — create + fill + read, nobody waiting: the
 ///   common fulfil-before-anyone-asks case (fast `set` must skip all wake
 ///   machinery);
 /// * `get_on_fulfilled` — repeated reads of one already-filled cell: the
 ///   fulfilled fast path (`Promise::get` after the value landed);
-/// * `wake_8_waiters` — fill with 8 parked readers: the slow path, where
-///   both cells pay for parking (thread spawn/join dominates either way;
-///   this guards against the lock-free wake regressing, not for a win).
-fn cell_compare(c: &mut Criterion) {
-    fn bench_one<C: BenchCell>(group: &mut criterion::BenchmarkGroup<'_>) {
-        group.throughput(Throughput::Elements(1));
-        group.bench_function(BenchmarkId::new("set_get_uncontended", C::LABEL), |b| {
-            b.iter(|| {
-                let cell = C::default();
-                cell.fill(black_box(41));
-                cell.read()
-            });
-        });
-        // One lock-free fulfilled read is sub-nanosecond — below the
-        // harness's per-iteration resolution — so each iteration reads a
-        // batch of 64 filled cells (throughput-annotated): the reported
-        // per-element ratio is what matters.
-        let filled: Vec<C> = (0..64)
-            .map(|i| {
-                let cell = C::default();
-                cell.fill(i);
-                cell
-            })
-            .collect();
-        group.throughput(Throughput::Elements(64));
-        group.bench_function(BenchmarkId::new("get_on_fulfilled", C::LABEL), |b| {
-            // black_box the slice so the acquire loads cannot be hoisted out
-            // of the timing loop.
-            b.iter(|| black_box(&filled).iter().map(C::read).sum::<u64>());
-        });
-        group.throughput(Throughput::Elements(8));
-        group.bench_function(BenchmarkId::new("wake_8_waiters", C::LABEL), |b| {
-            b.iter(|| {
-                let cell = Arc::new(C::default());
-                let waiters: Vec<_> = (0..8)
-                    .map(|_| {
-                        let cell = Arc::clone(&cell);
-                        std::thread::spawn(move || {
-                            cell.wait_filled();
-                            cell.read()
-                        })
-                    })
-                    .collect();
-                cell.fill(9);
-                waiters.into_iter().map(|w| w.join().unwrap()).sum::<u64>()
-            });
-        });
-    }
+/// * `wake_8_waiters` — fill with 8 parked readers: the slow path (thread
+///   spawn/join dominates; this guards against the wake regressing).
+///
+/// PR 2 measured these against the mutex + condvar cell (deleted in PR 15):
+/// `set_get_uncontended` and `get_on_fulfilled` favoured this cell by well
+/// over 1.5×, `wake_8_waiters` read parity.
+fn cell_ops(c: &mut Criterion) {
     let mut group = c.benchmark_group("cell");
     group.measurement_time(Duration::from_secs(2));
-    bench_one::<MutexCell<u64>>(&mut group);
-    bench_one::<OneShotCell<u64>>(&mut group);
+    group.throughput(Throughput::Elements(1));
+    group.bench_function(BenchmarkId::new("set_get_uncontended", CELL), |b| {
+        b.iter(|| *filled_cell(black_box(41)).get_ref().unwrap());
+    });
+    // One fulfilled read is sub-nanosecond — below the harness's
+    // per-iteration resolution — so each iteration reads a batch of 64
+    // filled cells (throughput-annotated).
+    let filled: Vec<_> = (0..64).map(filled_cell).collect();
+    group.throughput(Throughput::Elements(64));
+    group.bench_function(BenchmarkId::new("get_on_fulfilled", CELL), |b| {
+        // black_box the slice so the acquire loads cannot be hoisted out
+        // of the timing loop.
+        b.iter(|| {
+            black_box(&filled)
+                .iter()
+                .map(|c| *c.get_ref().unwrap())
+                .sum::<u64>()
+        });
+    });
+    group.throughput(Throughput::Elements(8));
+    group.bench_function(BenchmarkId::new("wake_8_waiters", CELL), |b| {
+        b.iter(|| {
+            let cell = Arc::new(OneShotCell::<u64>::new());
+            let waiters: Vec<_> = (0..8)
+                .map(|_| {
+                    let cell = Arc::clone(&cell);
+                    std::thread::spawn(move || {
+                        if !cell.is_filled() {
+                            cell.wait(None);
+                        }
+                        *cell.get_ref().unwrap()
+                    })
+                })
+                .collect();
+            cell.try_fill(9, false).unwrap();
+            waiters.into_iter().map(|w| w.join().unwrap()).sum::<u64>()
+        });
+    });
     group.finish();
 }
 
@@ -296,7 +259,7 @@ fn fanout_flat(rt: &Runtime, width: usize) -> u64 {
 
 /// Nested fan-out: every root-spawned task spawns one nested task and blocks
 /// on its promise — the worker-local submission path plus the grow-on-block
-/// hand-off, the shape that stressed the old pool's single queue hardest.
+/// hand-off, the shape that stresses `GrowingPool`'s single queue hardest.
 fn fanout_nested(rt: &Runtime, width: usize) -> u64 {
     rt.block_on(|| {
         let mut handles = Vec::with_capacity(width);
@@ -352,9 +315,11 @@ fn forkjoin_tree(rt: &Runtime, depth: u32) -> u64 {
     rt.block_on(|| node(depth)).unwrap()
 }
 
-/// Old vs. new scheduler on three spawn/join-heavy shapes, with ≥ 4 workers
-/// kept warm: the acceptance bar is that the sharded work-stealing scheduler
-/// at least matches the single-mutex `GrowingPool` on every shape.
+/// Both schedulers on three spawn/join-heavy shapes, with ≥ 4 workers kept
+/// warm.  Both stay because neither dominates: at PR 15 (2 CPUs, unverified,
+/// three runs) the two fan-outs read parity and `forkjoin_tree/8` 2.24 1.76
+/// 2.24 ms for `GrowingPool` against 3.17 3.49 3.42 ms for work-stealing,
+/// while the pinned `churn` workload favours work-stealing by 13–21 %.
 fn scheduler_compare(c: &mut Criterion) {
     type Shape = (&'static str, u64, fn(&Runtime) -> u64);
     let mut group = c.benchmark_group("scheduler");
@@ -386,7 +351,7 @@ fn scheduler_compare(c: &mut Criterion) {
 
 criterion_group!(
     benches,
-    cell_compare,
+    cell_ops,
     promise_ops,
     blocked_get_help,
     detector_chain,

@@ -1,19 +1,18 @@
-//! Microbenchmarks of the task spawn plane: the fused/recycled fast path
-//! vs the retained legacy path, and batched vs individual submission.
+//! Microbenchmarks of the task spawn plane: the fused/recycled spawn path,
+//! and batched vs individual submission.
 //! Numbers below are medians of `cargo bench -p promise-bench --bench
 //! spawn_path` on the 1-CPU reference container (re-run to refresh; the
 //! module-doc protocol mirrors the `data_plane` benches):
 //!
-//! * `spawn/spawn-join` — 64 trivial tasks spawned then joined, per
-//!   element.  `fused` is the rebuilt path (completion promise fused with
-//!   the typed result slot in one allocation, recycled job block, inline
-//!   transfer list); `legacy` is the retained pre-PR path (separate
-//!   completion promise + `Arc<Mutex<Option<R>>>` side channel + unpooled
-//!   record).  fused ≈ 2.8 µs vs legacy ≈ 6.9 µs per spawn+join (≈ 2.5×).
-//! * `spawn/batch-submit` — the same 64-task fork published through
-//!   `spawn_batch` (one injector push-chain + one wake sweep) vs 64
-//!   individual `spawn` calls, joins included in both.  batch-64
-//!   ≈ 2.4 µs vs individual-64 ≈ 6.0 µs per task end-to-end (≈ 2.5×).
+//! * `spawn/batch-submit` — a 64-task fork published through `spawn_batch`
+//!   (one injector push-chain + one wake sweep) vs 64 individual `spawn`
+//!   calls, joins included in both.  batch-64 ≈ 2.4 µs vs individual-64
+//!   ≈ 6.0 µs per task end-to-end (≈ 2.5×).  PR 4 timed the same 64
+//!   individual spawns as `spawn/spawn-join` against the pre-fusion spawn
+//!   path (separate completion promise + `Arc<Mutex<Option<R>>>` side
+//!   channel + unpooled record): ≈ 2.8 µs vs ≈ 6.9 µs per spawn+join
+//!   (≈ 2.5×).  PR 15 deleted that path, and the group with it — its
+//!   remaining arm was a second copy of `individual-64`.
 //! * `submit/drain-64` — pure submission cost at the scheduler seam: 64
 //!   pre-built no-op jobs enqueued with `submit_batch` (chain) vs a loop of
 //!   `submit`, timed together with the drain-completion signal so
@@ -28,10 +27,10 @@
 //!   allocator calls per steady-state spawn+join, counted by the installed
 //!   `CountingAllocator`: **fused+pooled = 0.000/op** (job record, fused
 //!   completion cell — a pooled refcount block since PR 5 — transfer list
-//!   and arena slots are all recycled), legacy = 2.000/op (the
-//!   `Arc<Mutex<…>>` result side channel + the deliberately unpooled job
-//!   record; its completion promise cell is pooled like every promise
-//!   now).  The `zero_alloc_spawn` integration test asserts the 0.
+//!   and arena slots are all recycled); the pre-fusion path read
+//!   2.000/op at PR 5 (the `Arc<Mutex<…>>` result side channel + its
+//!   unpooled job record).  The `zero_alloc_spawn` integration test
+//!   asserts the 0.
 
 use std::sync::mpsc;
 use std::time::Duration;
@@ -39,7 +38,6 @@ use std::time::Duration;
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 
 use promise_core::Job;
-use promise_runtime::spawn::legacy::spawn_legacy;
 use promise_runtime::{spawn, spawn_batch, Runtime, SchedulerConfig, WorkStealingScheduler};
 use promise_stats::{AllocStats, CountingAllocator};
 
@@ -58,32 +56,6 @@ fn bench_runtime() -> Runtime {
         // pool within one VM instance.
         .worker_keep_alive(Duration::from_secs(5))
         .build()
-}
-
-fn bench_spawn_join(c: &mut Criterion) {
-    let mut group = c.benchmark_group("spawn/spawn-join");
-    group.throughput(Throughput::Elements(FANOUT as u64));
-    let rt = bench_runtime();
-    rt.block_on(|| {
-        group.bench_function("fused", |b| {
-            b.iter(|| {
-                let handles: Vec<_> = (0..FANOUT as u64)
-                    .map(|i| spawn((), move || black_box(i)))
-                    .collect();
-                handles.into_iter().map(|h| h.join().unwrap()).sum::<u64>()
-            })
-        });
-        group.bench_function("legacy", |b| {
-            b.iter(|| {
-                let handles: Vec<_> = (0..FANOUT as u64)
-                    .map(|i| spawn_legacy((), move || black_box(i)).unwrap())
-                    .collect();
-                handles.into_iter().map(|h| h.join().unwrap()).sum::<u64>()
-            })
-        });
-    })
-    .unwrap();
-    group.finish();
 }
 
 fn bench_batch_submit(c: &mut Criterion) {
@@ -189,9 +161,8 @@ fn bench_steal_after_batch(c: &mut Criterion) {
 }
 
 /// Not a timing benchmark: counts global-allocator calls per steady-state
-/// spawn+join for the fused+pooled path vs the legacy path and prints the
-/// per-op numbers.  Proves the zero-alloc claim on the same build the
-/// timing numbers come from.
+/// spawn+join and prints the per-op number.  Proves the zero-alloc claim on
+/// the same build the timing numbers come from.
 fn bench_allocs_per_spawn(_c: &mut Criterion) {
     const WARMUP: u64 = 4000;
     const MEASURE: u64 = 2000;
@@ -209,26 +180,10 @@ fn bench_allocs_per_spawn(_c: &mut Criterion) {
         }
         let fused = AllocStats::snapshot().total_allocations - before.total_allocations;
 
-        for i in 0..WARMUP / 4 {
-            let _ = spawn_legacy((), move || black_box(i))
-                .unwrap()
-                .join()
-                .unwrap();
-        }
-        let before = AllocStats::snapshot();
-        for i in 0..MEASURE {
-            let _ = spawn_legacy((), move || black_box(i))
-                .unwrap()
-                .join()
-                .unwrap();
-        }
-        let legacy = AllocStats::snapshot().total_allocations - before.total_allocations;
-
         eprintln!(
-            "spawn/allocs-per-spawn: fused+pooled {:.3}/op, legacy {:.3}/op \
-             (over {MEASURE} steady-state spawn+join each)",
+            "spawn/allocs-per-spawn: fused+pooled {:.3}/op \
+             (over {MEASURE} steady-state spawn+join)",
             fused as f64 / MEASURE as f64,
-            legacy as f64 / MEASURE as f64,
         );
     })
     .unwrap();
@@ -237,7 +192,6 @@ fn bench_allocs_per_spawn(_c: &mut Criterion) {
 
 criterion_group!(
     benches,
-    bench_spawn_join,
     bench_batch_submit,
     bench_submit_drain,
     bench_steal_after_batch,

@@ -1,14 +1,14 @@
 //! A lock-free, append-only alarm sink.
 //!
 //! Every deadlock / omitted-set alarm a [`Context`](crate::Context) records
-//! used to go through a `Mutex<Vec<Alarm>>`.  Alarms are rare in correct
-//! programs, but the *bug-hunting* configurations that keep running after an
-//! alarm (`OmittedSetAction::CompleteAndReport`, the default) can record
-//! them from many workers at once, and observability calls
-//! (`Context::alarms`, `alarm_count`) used to block recorders — a lock
-//! inside what is otherwise a lock-free verification data plane.
+//! lands here.  Alarms are rare in correct programs, but the *bug-hunting*
+//! configurations that keep running after an alarm
+//! (`OmittedSetAction::CompleteAndReport`, the default) can record them from
+//! many workers at once, and observability calls (`Context::alarms`,
+//! `alarm_count`) must not block recorders — a lock here would sit inside
+//! what is otherwise a lock-free verification data plane.
 //!
-//! [`AlarmSink`] replaces the mutex with an append-only **segment list**:
+//! [`AlarmSink`] is an append-only **segment list**:
 //!
 //! * Records reserve a slot with one `fetch_add` on the tail segment and
 //!   publish the written value with one release store of a ready flag (plus
@@ -25,28 +25,17 @@
 //!   (one CAS per delivered entry) hands each published entry to exactly one
 //!   of any number of concurrent tail readers, in slot order, without ever
 //!   blocking recorders.  This is the consumption primitive behind
-//!   `Runtime::alarm_tail`; unlike the deprecated `clear` it cannot drop an
-//!   entry that races the call (an entry not yet claimable now is claimable
-//!   on the next call) and cannot deliver one twice.
+//!   `Runtime::alarm_tail`: an entry that races the call is not dropped (not
+//!   yet claimable now, it is claimable on the next call) and none is
+//!   delivered twice.
 //! * [`AlarmSink::read_from`] walks published entries from an absolute
 //!   cursor position *without* consuming them, so independent observers
 //!   (e.g. a metrics sampler's alarm feed) each keep a private cursor and
 //!   see every entry exactly once without stealing from the shared tail.
-//! * [`AlarmSink::clear`] (deprecated) is logical: it advances a cursor past
-//!   everything committed so far (segments are never unlinked while the sink
-//!   is alive).  It is inherently racy — concurrent pushes racing a clear
-//!   land on either side of the cursor, so a snapshot-then-clear reader can
-//!   drop or double-observe entries.  It survives as a shim for quiescent
-//!   measurement harnesses; live consumers use the tail.
-//!
-//! The retained [`MutexSink`] is the old mutex-protected log, kept as the
-//! comparison baseline for the `alarm/*` microbenches.
 
 use std::cell::UnsafeCell;
 use std::mem::MaybeUninit;
 use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicUsize, Ordering};
-
-use parking_lot::Mutex;
 
 /// Entries per segment.  Alarms are rare; one segment almost always
 /// suffices, and growth is geometric in chain length anyway.
@@ -79,8 +68,6 @@ pub struct AlarmSink<T> {
     tail: AtomicPtr<Segment<T>>,
     /// Entries fully published (ready flag set).
     committed: AtomicUsize,
-    /// Entries logically discarded by [`clear`](Self::clear).
-    cleared: AtomicUsize,
     /// Shared take-cursor of the live tail ([`claim_next`](Self::claim_next)):
     /// absolute slot index of the next entry to hand out.
     taken: AtomicUsize,
@@ -100,7 +87,6 @@ impl<T> AlarmSink<T> {
             head: AtomicPtr::new(first),
             tail: AtomicPtr::new(first),
             committed: AtomicUsize::new(0),
-            cleared: AtomicUsize::new(0),
             taken: AtomicUsize::new(0),
         }
     }
@@ -173,48 +159,40 @@ impl<T> AlarmSink<T> {
         }
     }
 
-    /// Number of fully published entries not yet cleared.
+    /// Number of fully published entries.
     pub fn len(&self) -> usize {
-        self.committed
-            .load(Ordering::Acquire)
-            .saturating_sub(self.cleared.load(Ordering::Acquire))
+        self.committed.load(Ordering::Acquire)
     }
 
-    /// Whether no (un-cleared) entry has been published.
+    /// Whether no entry has been published.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
-    /// Visits every published, un-cleared entry in segment order.
+    /// Visits every published entry in segment order.
     ///
     /// Entries whose publication races this walk may or may not be visited;
     /// entries published *before* the walk started (in happens-before order)
     /// always are.
     pub fn for_each(&self, mut f: impl FnMut(&T)) {
-        let skip = self.cleared.load(Ordering::Acquire);
-        let mut seen = 0usize;
         let mut seg_ptr = self.head.load(Ordering::Acquire);
         while !seg_ptr.is_null() {
             // Safety: segments are never freed while the sink is alive.
             let seg = unsafe { &*seg_ptr };
             let reserved = seg.reserved.load(Ordering::Acquire).min(SEG_CAP);
             for idx in 0..reserved {
-                if !seg.ready[idx].load(Ordering::Acquire) {
-                    continue;
-                }
-                if seen >= skip {
+                if seg.ready[idx].load(Ordering::Acquire) {
                     // Safety: ready (acquire) orders this read after the
                     // writer's initialisation, and published slots are never
                     // written again.
                     f(unsafe { (*seg.values[idx].get()).assume_init_ref() });
                 }
-                seen += 1;
             }
             seg_ptr = seg.next.load(Ordering::Acquire);
         }
     }
 
-    /// Clones every published, un-cleared entry into a `Vec`.
+    /// Clones every published entry into a `Vec`.
     pub fn snapshot(&self) -> Vec<T>
     where
         T: Clone,
@@ -233,8 +211,7 @@ impl<T> AlarmSink<T> {
     /// `claim_next` call.  Delivery is in slot (reservation) order; an entry
     /// still mid-publication merely delays the tail — `None` now, delivered
     /// by a later call — it is never skipped and never delivered twice.
-    /// Independent of the deprecated [`clear`](Self::clear) cursor: the tail
-    /// delivers every entry ever pushed, starting from the first.
+    /// The tail delivers every entry ever pushed, starting from the first.
     pub fn claim_next(&self) -> Option<T>
     where
         T: Clone,
@@ -289,36 +266,6 @@ impl<T> AlarmSink<T> {
         }
         pos
     }
-
-    /// Logically discards everything published so far (the entries stay
-    /// allocated; see the module docs).  Intended for quiescent points
-    /// between measurement runs.
-    ///
-    /// The cursor only ever advances (monotonic CAS), so clears racing each
-    /// other can no longer resurrect entries; but a push racing the clear
-    /// still lands on an arbitrary side of the cursor, making
-    /// snapshot-then-clear lossy under concurrency.  Live consumers use the
-    /// race-free [`claim_next`](Self::claim_next) /
-    /// [`read_from`](Self::read_from) cursors instead.
-    #[deprecated(
-        since = "0.1.0",
-        note = "racy under concurrent pushes; use `claim_next` (shared tail) or `read_from` (private cursor)"
-    )]
-    pub fn clear(&self) {
-        let target = self.committed.load(Ordering::Acquire);
-        let mut cur = self.cleared.load(Ordering::Relaxed);
-        while cur < target {
-            match self.cleared.compare_exchange_weak(
-                cur,
-                target,
-                Ordering::Release,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => break,
-                Err(actual) => cur = actual,
-            }
-        }
-    }
 }
 
 impl<T> Drop for AlarmSink<T> {
@@ -345,50 +292,6 @@ impl<T> Drop for AlarmSink<T> {
 // atomic.  Shared readers hand out `&T`, hence the `Sync` bound on `T`.
 unsafe impl<T: Send> Send for AlarmSink<T> {}
 unsafe impl<T: Send + Sync> Sync for AlarmSink<T> {}
-
-/// The retained mutex-protected log the sink replaced, kept as the
-/// comparison baseline for the `alarm/*` microbenches.
-#[derive(Default)]
-pub struct MutexSink<T> {
-    entries: Mutex<Vec<T>>,
-}
-
-impl<T> MutexSink<T> {
-    /// Creates an empty log.
-    pub fn new() -> Self {
-        MutexSink {
-            entries: Mutex::new(Vec::new()),
-        }
-    }
-
-    /// Appends `value` under the lock.
-    pub fn push(&self, value: T) {
-        self.entries.lock().push(value);
-    }
-
-    /// Number of entries.
-    pub fn len(&self) -> usize {
-        self.entries.lock().len()
-    }
-
-    /// Whether the log is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Clones the entries.
-    pub fn snapshot(&self) -> Vec<T>
-    where
-        T: Clone,
-    {
-        self.entries.lock().clone()
-    }
-
-    /// Drops all entries.
-    pub fn clear(&self) {
-        self.entries.lock().clear();
-    }
-}
 
 #[cfg(test)]
 mod tests {
@@ -419,28 +322,12 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)]
-    fn clear_is_logical_and_new_pushes_survive() {
-        let sink: AlarmSink<u32> = AlarmSink::new();
-        sink.push(1);
-        sink.push(2);
-        sink.clear();
-        assert!(sink.is_empty());
-        assert!(sink.snapshot().is_empty());
-        sink.push(3);
-        assert_eq!(sink.len(), 1);
-        assert_eq!(sink.snapshot(), vec![3]);
-    }
-
-    #[test]
-    fn tail_delivers_in_order_and_is_independent_of_clear() {
+    fn tail_delivers_in_order_from_the_first_entry() {
         let sink: AlarmSink<u32> = AlarmSink::new();
         let n = (SEG_CAP * 2 + 5) as u32;
         for i in 0..n {
             sink.push(i);
         }
-        #[allow(deprecated)]
-        sink.clear(); // the logical clear must not hide entries from the tail
         for i in 0..n {
             assert_eq!(sink.claim_next(), Some(i));
         }

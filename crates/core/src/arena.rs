@@ -56,9 +56,9 @@
 //!   **pre-linked chain** published with a single CAS
 //!   ([`SlotArena::push_free_chain`]);
 //! * an operation that finds its home shard and the neighbour both locked
-//!   falls back to the retained global path
-//!   ([`SlotArena::new_global_only`] forces it for all threads, which is the
-//!   pre-magazine behaviour and the benchmark baseline);
+//!   falls back to the shared global path
+//!   (`SlotArena::new_global_only` forces it for all threads, which is how
+//!   the unit and interleaving tests reach it deterministically);
 //!   [`ArenaMemoryStats::shared_path_ops`] counts how often that happens;
 //! * [`SlotArena::release_worker_shard`] drains every magazine onto the
 //!   global list (a cold path, for callers about to [`reclaim`]).
@@ -308,8 +308,8 @@ pub struct SlotArena<T> {
     /// Free-index magazines, driven by the generic per-operation-locked
     /// protocol of [`crate::magazine`] (unused when `use_magazines` is off).
     magazines: MagazinePool<u32>,
-    /// Whether allocation goes through the magazines (off for the retained
-    /// pre-magazine benchmark baseline, [`SlotArena::new_global_only`]).
+    /// Whether allocation goes through the magazines (off for
+    /// [`SlotArena::new_global_only`], which forces the shared fallback).
     use_magazines: bool,
     /// Live-count contribution of the global (non-magazine) path.
     live_overflow: CachePadded<AtomicI64>,
@@ -443,11 +443,13 @@ impl<T: SlotValue> SlotArena<T> {
         Self::with_magazines(true)
     }
 
-    /// Creates an arena whose allocations always take the global free-list
-    /// path.
+    /// Creates an arena whose allocations always take the shared global
+    /// free-list path — the fallback every thread takes when both of its
+    /// shard try-locks fail.
     ///
-    /// This is the pre-magazine behaviour, retained as the comparison
-    /// baseline for the `arena/*` microbenchmarks.
+    /// Not a second implementation: tests use it to reach that fallback
+    /// deterministically, and the `arena/*` microbenchmarks to price it.
+    #[doc(hidden)]
     pub fn new_global_only() -> Self {
         Self::with_magazines(false)
     }
@@ -465,7 +467,7 @@ impl<T: SlotValue> SlotArena<T> {
     /// Highest number of simultaneously live slots observed so far.
     ///
     /// Exact for arenas driven only through the global path
-    /// ([`new_global_only`](Self::new_global_only)) and for quiescent reads
+    /// (`new_global_only`) and for quiescent reads
     /// with magazines in play (the read folds in each
     /// magazine's unsampled peak excursion — see "peak accounting" in the
     /// module docs for the concurrent-read bounds).
@@ -1170,8 +1172,9 @@ impl<T> SlotHandle<'_, T> {
     /// trailing acquire generation load cannot be reordered ahead of them.
     ///
     /// This is the detector's line-11 `owner` re-read (see
-    /// [`crate::detector`]); the `detector/chain-walk` benchmark pins its
-    /// cost at or below the double-checked [`read_validated`].
+    /// [`crate::detector`]); PR 6 measured the `detector/chain-walk` step at
+    /// ~8.4 ns with it against ~53 ns with the double-checked
+    /// [`read_validated`](Self::read_validated).
     #[inline]
     pub fn read_gen_fenced<R>(&self, f: impl FnOnce(&T) -> R) -> Option<R> {
         let out = f(&self.slot.value);
@@ -1513,7 +1516,7 @@ mod tests {
         assert_eq!(arena.peak_live(), 1);
         arena.free(r);
         assert_eq!(arena.live(), 0);
-        // Exact (pre-magazine) footprint: one slot handed out, recycled.
+        // Exact footprint (no magazine batching): one slot handed out, recycled.
         let r2 = arena.alloc();
         assert_eq!(arena.high_water_slots(), 1);
         arena.free(r2);

@@ -2,10 +2,8 @@
 //!
 //! The detector's traversal and the arena's allocation paths are
 //! `pub(crate)` internals; the `detector/*` and `arena/*` criterion
-//! microbenches need to drive them against hand-built waits-for graphs and
-//! to compare the current implementation with the retained pre-optimisation
-//! paths.  Everything here is `#[doc(hidden)]` and may change without
-//! notice.
+//! microbenches need to drive them against hand-built waits-for graphs.
+//! Everything here is `#[doc(hidden)]` and may change without notice.
 
 #![allow(missing_docs)]
 
@@ -14,7 +12,6 @@ use std::sync::Arc;
 
 use crate::context::Context;
 use crate::detector::{self, DetectionSubject};
-use crate::error::CycleEntry;
 use crate::ids::{PromiseId, TaskId};
 use crate::refs::PackedRef;
 
@@ -60,9 +57,9 @@ pub fn build_chain(ctx: &Arc<Context>, n: usize) -> (PackedRef, PackedRef) {
     (tasks[0], promises[0])
 }
 
-/// Runs the current (pointer-direct) detector traversal for `t0` blocking on
-/// `p0`, then clears the published mark so the walk can be repeated.
-/// Returns `true` if a cycle was detected.
+/// Runs the detector traversal for `t0` blocking on `p0`, then clears the
+/// published mark so the walk can be repeated.  Returns `true` if a cycle
+/// was detected.
 pub fn chain_walk(ctx: &Arc<Context>, t0: PackedRef, p0: PackedRef) -> bool {
     let subject = DetectionSubject {
         t0_slot: t0,
@@ -77,85 +74,6 @@ pub fn chain_walk(ctx: &Arc<Context>, t0: PackedRef, p0: PackedRef) -> bool {
     out.is_err()
 }
 
-/// The pre-optimisation traversal, retained verbatim as the benchmark
-/// baseline: every read is a seqlock double-validated closure read through
-/// the chunk table, and the report path (ids included) is collected eagerly
-/// on every step.
-pub fn chain_walk_legacy(ctx: &Arc<Context>, t0: PackedRef, p0: PackedRef) -> bool {
-    fn load_owner(ctx: &Context, promise: PackedRef) -> PackedRef {
-        ctx.promises
-            .read(promise, |s| {
-                PackedRef::from_bits(s.owner.load(Ordering::Acquire))
-            })
-            .unwrap_or(PackedRef::NULL)
-    }
-    fn load_waiting_on(ctx: &Context, task: PackedRef) -> PackedRef {
-        ctx.tasks
-            .read(task, |s| {
-                PackedRef::from_bits(s.waiting_on.load(Ordering::Acquire))
-            })
-            .unwrap_or(PackedRef::NULL)
-    }
-
-    ctx.tasks
-        .read(t0, |s| s.waiting_on.store(p0.to_bits(), Ordering::SeqCst));
-    std::sync::atomic::fence(Ordering::SeqCst);
-
-    let cap = ctx
-        .config()
-        .max_traversal_factor
-        .saturating_mul(ctx.tasks.live())
-        .saturating_add(16);
-
-    let mut entries: Vec<CycleEntry> = vec![CycleEntry {
-        task: TaskId(1),
-        task_name: None,
-        promise: PromiseId(1000),
-        promise_name: None,
-    }];
-
-    let mut steps: u64 = 0;
-    let mut p_i = p0;
-    let mut t_next = load_owner(ctx, p_i);
-    let deadlocked = loop {
-        if t_next == t0 {
-            break true;
-        }
-        if t_next.is_null() {
-            break false;
-        }
-        let p_next = load_waiting_on(ctx, t_next);
-        if p_next.is_null() {
-            break false;
-        }
-        if load_owner(ctx, p_i) != t_next {
-            break false;
-        }
-        steps += 1;
-        if steps as usize > cap {
-            break false;
-        }
-        entries.push(CycleEntry {
-            task: ctx
-                .tasks
-                .read(t_next, |s| s.task_id())
-                .unwrap_or(TaskId::NONE),
-            task_name: None,
-            promise: ctx
-                .promises
-                .read(p_next, |s| s.promise_id())
-                .unwrap_or(PromiseId::NONE),
-            promise_name: None,
-        });
-        p_i = p_next;
-        t_next = load_owner(ctx, p_i);
-    };
-    std::hint::black_box(&entries);
-    ctx.tasks
-        .read(t0, |s| s.waiting_on.store(0, Ordering::Release));
-    deadlocked
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -165,7 +83,6 @@ mod tests {
         let ctx = Context::new_verified();
         let (t0, p0) = build_chain(&ctx, 50);
         assert!(!chain_walk(&ctx, t0, p0));
-        assert!(!chain_walk_legacy(&ctx, t0, p0));
         // The mark is cleared between runs, so walks are repeatable.
         assert!(!chain_walk(&ctx, t0, p0));
     }

@@ -2,17 +2,12 @@
 //!
 //! A promise is two things glued together: a *policy identity* (id, owner
 //! edge, arena slot) and a *one-shot cell* that carries the payload from the
-//! single `set` to every `get`.  This module provides the cell, in two
-//! implementations sharing one API:
-//!
-//! * [`OneShotCell`] — the production implementation: a lock-free state
-//!   machine over an `AtomicU32` plus an uninitialised payload slot.
-//!   Filling is one CAS + payload write + release `swap`; reading a filled
-//!   cell is a single acquire load + payload read.  Neither path touches a
-//!   lock, and the waker is only invoked when a waiter announced itself.
-//! * [`MutexCell`] — the retired mutex + condvar implementation, kept (and
-//!   kept correct) as the before/after baseline for the `cell/*`
-//!   microbenchmarks and the differential stress tests.
+//! single `set` to every `get`.  This module provides the cell:
+//! [`OneShotCell`], a lock-free state machine over an `AtomicU32` plus an
+//! uninitialised payload slot.  Filling is one CAS + payload write + release
+//! `swap`; reading a filled cell is a single acquire load + payload read.
+//! Neither path touches a lock, and the waker is only invoked when a waiter
+//! announced itself.
 //!
 //! # The state machine
 //!
@@ -60,10 +55,8 @@
 
 use std::cell::UnsafeCell;
 use std::mem::MaybeUninit;
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicU8, Ordering};
 use std::time::Instant;
-
-use parking_lot::{Condvar, Mutex};
 
 use crate::waitq::WaitQueue;
 
@@ -174,11 +167,10 @@ impl<V> OneShotCell<V> {
         let mut cur = self.state.load(Ordering::Relaxed);
         loop {
             if cur & PHASE_MASK != EMPTY {
-                // Losing filler.  The retired mutex cell serialized fillers,
-                // so `Err` always implied the winning value was already
-                // observable; preserve that linearizability here by waiting
-                // out the winner's (payload-write-sized) FILLING window
-                // before reporting "already fulfilled".
+                // Losing filler.  `Err` must imply the winning value is
+                // already observable (fills are linearizable), so wait out
+                // the winner's (payload-write-sized) FILLING window before
+                // reporting "already fulfilled".
                 let mut spins = 0u32;
                 while self.state.load(Ordering::Acquire) & PHASE_MASK < SET {
                     spins += 1;
@@ -400,14 +392,14 @@ const SLOT_TAKEN: u8 = 3;
 /// A write-once, take-once typed payload slot: the storage half of a *fused*
 /// task-completion cell.
 ///
-/// The runtime's spawn path used to ship a task's return value through a
-/// dedicated `Arc<Mutex<Option<R>>>` side channel next to the completion
-/// promise.  `ResultSlot` replaces that: it lives *inside* the completion
-/// promise's allocation (the `extra` payload of
-/// [`Promise`](crate::Promise)'s fused form), the task wrapper `put`s the
-/// body's result exactly once before it settles the completion promise, and
-/// `join` `take`s it after observing the fulfilment — one allocation and two
-/// atomic operations instead of an extra `Arc` plus two mutex round trips.
+/// The runtime's spawn path ships a task's return value through it: the
+/// slot lives *inside* the completion promise's allocation (the `extra`
+/// payload of [`Promise`](crate::Promise)'s fused form), the task wrapper
+/// `put`s the body's result exactly once before it settles the completion
+/// promise, and `join` `take`s it after observing the fulfilment — one
+/// allocation and two atomic operations, where a dedicated
+/// `Arc<Mutex<Option<R>>>` side channel next to the completion promise costs
+/// an extra `Arc` plus two mutex round trips.
 ///
 /// The slot carries its own tiny state machine
 /// (`EMPTY → WRITING → READY → TAKEN`) so it is safe independently of the
@@ -504,94 +496,6 @@ impl<V> std::fmt::Debug for ResultSlot<V> {
         f.debug_struct("ResultSlot")
             .field("ready", &self.is_ready())
             .finish()
-    }
-}
-
-/// The retired mutex + condvar one-shot cell, preserved as the benchmark and
-/// differential-testing baseline for [`OneShotCell`].
-///
-/// This is exactly the pre-lock-free design: every fill takes the mutex and
-/// notifies the condvar unconditionally; every read of a filled cell takes
-/// the mutex again.  Do not use it in new code — it exists so the `cell/*`
-/// microbenchmarks can report an honest old-vs-new delta on the same box.
-pub struct MutexCell<V> {
-    fulfilled: AtomicBool,
-    cell: Mutex<Option<(V, bool)>>,
-    cond: Condvar,
-}
-
-impl<V> Default for MutexCell<V> {
-    fn default() -> Self {
-        MutexCell::new()
-    }
-}
-
-impl<V> MutexCell<V> {
-    /// Creates an empty cell.
-    pub const fn new() -> MutexCell<V> {
-        MutexCell {
-            fulfilled: AtomicBool::new(false),
-            cell: Mutex::new(None),
-            cond: Condvar::new(),
-        }
-    }
-
-    /// Whether the cell has been filled.
-    #[inline]
-    pub fn is_filled(&self) -> bool {
-        self.fulfilled.load(Ordering::Acquire)
-    }
-
-    /// Whether the cell was filled exceptionally.
-    pub fn is_failed(&self) -> bool {
-        matches!(&*self.cell.lock(), Some((_, true)))
-    }
-
-    /// Fills the cell under the mutex; `before_publish` runs inside the
-    /// critical section, before waiters are notified.
-    pub fn try_fill_with(
-        &self,
-        value: V,
-        failed: bool,
-        before_publish: impl FnOnce(),
-    ) -> Result<(), V> {
-        let mut cell = self.cell.lock();
-        if cell.is_some() {
-            return Err(value);
-        }
-        *cell = Some((value, failed));
-        before_publish();
-        self.fulfilled.store(true, Ordering::Release);
-        self.cond.notify_all();
-        Ok(())
-    }
-
-    /// Fills the cell with no pre-publish hook.
-    pub fn try_fill(&self, value: V, failed: bool) -> Result<(), V> {
-        self.try_fill_with(value, failed, || {})
-    }
-
-    /// Blocks until the cell is filled or `deadline` passes.
-    pub fn wait(&self, deadline: Option<Instant>) -> bool {
-        let mut cell = self.cell.lock();
-        loop {
-            if cell.is_some() {
-                return true;
-            }
-            match deadline {
-                None => self.cond.wait(&mut cell),
-                Some(d) => {
-                    if Instant::now() >= d || self.cond.wait_until(&mut cell, d).timed_out() {
-                        return cell.is_some();
-                    }
-                }
-            }
-        }
-    }
-
-    /// Runs `f` on the filled payload under the mutex.
-    pub fn read_with<R>(&self, f: impl FnOnce(&V) -> R) -> Option<R> {
-        self.cell.lock().as_ref().map(|(v, _)| f(v))
     }
 }
 
@@ -795,18 +699,5 @@ mod tests {
         };
         writer.join().unwrap();
         assert_eq!(slot.take(), Some(vec![1, 2, 3]));
-    }
-
-    #[test]
-    fn mutex_cell_mirrors_the_api() {
-        let cell = MutexCell::<u64>::new();
-        assert!(!cell.is_filled());
-        assert!(!cell.wait(Some(Instant::now() + Duration::from_millis(10))));
-        cell.try_fill(5, false).unwrap();
-        assert!(cell.is_filled());
-        assert!(!cell.is_failed());
-        assert!(cell.wait(None));
-        assert_eq!(cell.read_with(|v| *v), Some(5));
-        assert!(cell.try_fill(6, true).is_err());
     }
 }

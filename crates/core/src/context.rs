@@ -10,6 +10,8 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
+use crossbeam_utils::CachePadded;
+
 use crate::alarms::AlarmSink;
 use crate::arena::SlotArena;
 use crate::chaos::{ChaosConfig, ChaosSite, ChaosState};
@@ -189,6 +191,17 @@ impl std::fmt::Display for StallReport {
     }
 }
 
+/// What creating and submitting a task writes and reads, on a cache line of
+/// its own: the id counters are bumped on every task / promise creation, so
+/// the read-mostly fields every operation loads (`config`, `chaos`,
+/// `events`) must not share their line, and a spawn reads the executor right
+/// after taking its ids, so it rides along.
+struct SpawnLine {
+    next_task_id: AtomicU64,
+    next_promise_id: AtomicU64,
+    executor: OnceLock<Arc<dyn Executor>>,
+}
+
 /// Shared state for one verified (or unverified) promise runtime.
 pub struct Context {
     config: PolicyConfig,
@@ -196,9 +209,7 @@ pub struct Context {
     pub(crate) promises: SlotArena<PromiseSlot>,
     counters: Counters,
     alarms: AlarmSink<Alarm>,
-    next_task_id: AtomicU64,
-    next_promise_id: AtomicU64,
-    executor: OnceLock<Arc<dyn Executor>>,
+    spawn: CachePadded<SpawnLine>,
     /// Steal-to-wait helping configuration (`None` = never help; runtimes
     /// install one — possibly `HelpConfig::disabled()` — at build time, the
     /// same set-once discipline as the executor).
@@ -243,9 +254,11 @@ impl Context {
             promises: SlotArena::new(),
             counters: Counters::new(),
             alarms: AlarmSink::new(),
-            next_task_id: AtomicU64::new(1),
-            next_promise_id: AtomicU64::new(1),
-            executor: OnceLock::new(),
+            spawn: CachePadded::new(SpawnLine {
+                next_task_id: AtomicU64::new(1),
+                next_promise_id: AtomicU64::new(1),
+                executor: OnceLock::new(),
+            }),
             helping: OnceLock::new(),
             chaos: chaos
                 .filter(ChaosConfig::is_active)
@@ -284,12 +297,12 @@ impl Context {
     /// Installs the executor used to run spawned tasks.  May only be called
     /// once; later calls are ignored and return `false`.
     pub fn set_executor(&self, executor: Arc<dyn Executor>) -> bool {
-        self.executor.set(executor).is_ok()
+        self.spawn.executor.set(executor).is_ok()
     }
 
     /// The installed executor, if any.
     pub fn executor(&self) -> Option<Arc<dyn Executor>> {
-        self.executor.get().cloned()
+        self.spawn.executor.get().cloned()
     }
 
     /// Installs the steal-to-wait helping configuration (see
@@ -362,17 +375,6 @@ impl Context {
     /// once without stealing from `claim_next_alarm` readers.
     pub fn read_new_alarms(&self, start: usize, f: impl FnMut(&Alarm)) -> usize {
         self.alarms.read_from(start, f)
-    }
-
-    /// Clears the alarm log (used by measurement harnesses between runs; see
-    /// [`AlarmSink::clear`] for the concurrency caveat).
-    #[deprecated(
-        since = "0.1.0",
-        note = "racy under concurrent recorders; use `claim_next_alarm` / `read_new_alarms`"
-    )]
-    pub fn clear_alarms(&self) {
-        #[allow(deprecated)]
-        self.alarms.clear();
     }
 
     /// Retires fully-free arena chunks and frees those whose grace periods
@@ -497,11 +499,11 @@ impl Context {
     }
 
     pub(crate) fn next_task_id(&self) -> TaskId {
-        TaskId(self.next_task_id.fetch_add(1, Ordering::Relaxed))
+        TaskId(self.spawn.next_task_id.fetch_add(1, Ordering::Relaxed))
     }
 
     pub(crate) fn next_promise_id(&self) -> PromiseId {
-        PromiseId(self.next_promise_id.fetch_add(1, Ordering::Relaxed))
+        PromiseId(self.spawn.next_promise_id.fetch_add(1, Ordering::Relaxed))
     }
 }
 
@@ -543,7 +545,6 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)]
     fn alarms_are_recorded_and_counted() {
         let ctx = Context::new_verified();
         let cycle = Arc::new(DeadlockCycle {
@@ -569,8 +570,6 @@ mod tests {
         let snap = ctx.counter_snapshot();
         assert_eq!(snap.deadlocks_detected, 1);
         assert_eq!(snap.omitted_sets_detected, 1);
-        ctx.clear_alarms();
-        assert_eq!(ctx.alarm_count(), 0);
     }
 
     #[test]

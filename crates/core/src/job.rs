@@ -267,10 +267,11 @@ pub struct Job {
 unsafe impl Send for Job {}
 
 impl Job {
-    fn build<F: FnOnce() + Send + 'static>(f: F, force_heap: bool) -> Job {
+    /// Wraps a closure, using a recycled block when the record fits
+    /// [`JOB_BLOCK_SIZE`].
+    pub fn new<F: FnOnce() + Send + 'static>(f: F) -> Job {
         let layout = Layout::new::<Packed<F>>();
-        let pooled =
-            !force_heap && layout.size() <= JOB_BLOCK_SIZE && layout.align() <= JOB_BLOCK_ALIGN;
+        let pooled = layout.size() <= JOB_BLOCK_SIZE && layout.align() <= JOB_BLOCK_ALIGN;
         let raw = if pooled {
             pool_alloc()
         } else {
@@ -298,21 +299,6 @@ impl Job {
         Job {
             ptr: NonNull::new(record.cast()).expect("allocation is non-null"),
         }
-    }
-
-    /// Wraps a closure, using a recycled block when the record fits
-    /// [`JOB_BLOCK_SIZE`].
-    pub fn new<F: FnOnce() + Send + 'static>(f: F) -> Job {
-        Self::build(f, false)
-    }
-
-    /// Like [`new`](Self::new) but always heap-allocates the record,
-    /// bypassing the block pool.  Retained so benchmarks can compare the
-    /// recycled path against the old always-allocate behaviour on the same
-    /// build.
-    #[doc(hidden)]
-    pub fn new_unpooled<F: FnOnce() + Send + 'static>(f: F) -> Job {
-        Self::build(f, true)
     }
 
     /// Runs the job, consuming it.

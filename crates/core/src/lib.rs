@@ -76,10 +76,10 @@ pub mod task;
 pub mod test_support;
 pub mod waitq;
 
-pub use alarms::{AlarmSink, MutexSink};
+pub use alarms::AlarmSink;
 pub use arena::ArenaMemoryStats;
 pub use cancel::CancelToken;
-pub use cell::{CellWait, HelpWait, MutexCell, OneShotCell, ResultSlot};
+pub use cell::{CellWait, HelpWait, OneShotCell, ResultSlot};
 pub use chaos::{ChaosConfig, ChaosSite};
 pub use collection::{collect_promises, PromiseCollection, TransferList};
 pub use context::{Alarm, Context, Executor, RejectedBatch, RejectedJob, StallReport};

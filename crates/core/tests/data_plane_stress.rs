@@ -223,9 +223,4 @@ fn alarm_sink_observes_all_alarms_recorded_before_snapshot() {
     // The deadlock counter was bumped before each publish: it can never be
     // behind the log.
     assert_eq!(ctx.counter_snapshot().deadlocks_detected, total as u64);
-
-    #[allow(deprecated)]
-    ctx.clear_alarms();
-    assert_eq!(ctx.alarm_count(), 0);
-    assert!(ctx.alarms().is_empty());
 }

@@ -1,7 +1,7 @@
 //! Batched task submission: prepare N children, publish them in one
 //! scheduler round trip.
 //!
-//! A fork loop that calls [`spawn`](crate::spawn) N times pays N submission
+//! A fork loop that calls [`spawn`](crate::spawn()) N times pays N submission
 //! round trips: N injector shard locks (or deque pushes) and up to N
 //! park-lock wake-ups / worker spawns.  [`SpawnBatch`] splits spawning into
 //! its two natural phases:
@@ -180,7 +180,7 @@ impl<R: Send + 'static> SpawnBatch<R> {
     /// # Panics
     ///
     /// Panics if no executor is installed in the preparing context (same
-    /// condition as [`spawn`](crate::spawn)).
+    /// condition as [`spawn`](crate::spawn())).
     pub fn submit(self) -> Vec<TaskHandle<R>> {
         let SpawnBatch {
             ctx,

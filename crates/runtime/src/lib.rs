@@ -8,21 +8,21 @@
 //!   blocks on a promise while work is queued.  This is the execution
 //!   strategy the paper requires, because with promises there is no a-priori
 //!   bound on the number of tasks that may block simultaneously.  Two
-//!   implementations exist: the sharded work-stealing
-//!   [`scheduler`] (default) and the original single-queue [`pool`]
-//!   (selectable via [`RuntimeBuilder::scheduler`] for comparison);
-//! * **spawning with ownership transfer** ([`spawn`], [`spawn_named`]): the
+//!   implementations exist, each faster on some pinned workload: the
+//!   sharded work-stealing [`scheduler`] (default) and the single-queue
+//!   [`pool`] (selectable via [`RuntimeBuilder::scheduler`]);
+//! * **spawning with ownership transfer** ([`spawn()`], [`spawn_named`]): the
 //!   `async (p1, …, pn) { … }` construct of the paper — the listed promises
 //!   move from the parent to the child before the child becomes runnable,
 //!   and the child's termination runs the rule-3 exit check.  The spawn
 //!   path is zero-alloc in steady state: fused result/completion cells,
-//!   recycled job records, and inline transfer lists (see [`spawn`]);
+//!   recycled job records, and inline transfer lists (see [`mod@spawn`]);
 //! * **batched submission** ([`spawn_batch`], [`SpawnBatch`]): prepare N
 //!   children (transfers validated in order) and publish them with one
 //!   injector push-chain and one wake sweep;
 //! * **task handles** ([`TaskHandle`]): joinable results implemented with the
 //!   `new p; async (p, …) { …; set p }` pattern of §2.1;
-//! * **finish scopes** ([`finish`], [`FinishScope`]): await the termination
+//! * **finish scopes** ([`finish()`], [`FinishScope`]): await the termination
 //!   of a dynamically growing set of tasks (used by the QSort benchmark);
 //! * **measurement hooks** ([`RunMetrics`]): wall time plus the task / get /
 //!   set counts that Table 1 reports.

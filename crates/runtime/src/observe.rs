@@ -120,8 +120,8 @@ impl ObserveConfig {
 ///
 /// Each recorded alarm is yielded by exactly one [`next`](Iterator::next)
 /// call across *all* concurrently tailing consumers (the shared take-cursor
-/// of [`promise_core::AlarmSink::claim_next`]), which replaces the old racy
-/// snapshot-then-[`clear`](Context::clear_alarms) pattern.  `None` means
+/// of [`promise_core::AlarmSink::claim_next`]), so an alarm recorded while
+/// another is being read is neither dropped nor seen twice.  `None` means
 /// *nothing new right now*, never exhaustion — keep the tail and poll again
 /// later, like `tail -f`.  The tail is independent of the observability
 /// sampler's feed (which uses a private cursor) and of

@@ -11,6 +11,11 @@
 //! started.  Idle workers park on a condition variable and retire after a
 //! configurable keep-alive period, so the pool shrinks again after bursts of
 //! blocking tasks.
+//!
+//! It stays next to the work-stealing [`scheduler`](crate::scheduler)
+//! because neither dominates: this pool is the faster one on the pinned
+//! `sieve` and `heat` workloads, work-stealing on `churn` (numbers at
+//! [`SchedulerKind`](crate::SchedulerKind)).
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -18,7 +23,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use parking_lot::{Condvar, Mutex};
+use parking_lot::{Condvar, Mutex, MutexGuard};
 
 use promise_core::{Executor, Job, RejectedBatch, RejectedJob};
 
@@ -172,12 +177,7 @@ impl GrowingPool {
             }),
         });
         let eager = pool.inner.config.initial_workers;
-        if eager > 0 {
-            let mut state = pool.inner.state.lock();
-            for _ in 0..eager {
-                Self::spawn_worker(&pool.inner, &mut state);
-            }
-        }
+        Self::grow(&pool.inner, pool.inner.state.lock(), eager);
         pool
     }
 
@@ -203,7 +203,7 @@ impl GrowingPool {
         if state.idle_workers == 0 {
             // Every live worker is busy (possibly blocked on a promise):
             // grow the pool so the new task can make progress.
-            Self::spawn_worker(&self.inner, &mut state);
+            Self::grow(&self.inner, state, 1);
         } else {
             self.inner.work_available.notify_one();
         }
@@ -233,9 +233,7 @@ impl GrowingPool {
         state.jobs_batch_submitted += n;
         state.queue.extend(jobs);
         if state.idle_workers == 0 {
-            for _ in 0..n {
-                Self::spawn_worker(&self.inner, &mut state);
-            }
+            Self::grow(&self.inner, state, n);
         } else {
             for _ in 0..state.idle_workers.min(n) {
                 self.inner.work_available.notify_one();
@@ -244,23 +242,45 @@ impl GrowingPool {
         Ok(())
     }
 
-    fn spawn_worker(inner: &Arc<PoolInner>, state: &mut PoolState) {
-        state.current_workers += 1;
-        state.threads_started += 1;
-        state.peak_workers = state.peak_workers.max(state.current_workers);
-        let worker_idx = state.threads_started;
-        let inner2 = Arc::clone(inner);
-        let mut builder = std::thread::Builder::new().name(format!(
-            "{}-{}",
-            inner.config.thread_name_prefix, worker_idx
-        ));
-        if let Some(sz) = inner.config.stack_size {
-            builder = builder.stack_size(sz);
+    /// Starts `n` workers and joins the retired ones: `joiners` holds one
+    /// handle per live worker plus those of workers that retired since the
+    /// pool last grew, so the handles held follow `peak_workers`, not
+    /// `threads_started`, and a retired thread's stack is unmapped when the
+    /// pool next grows instead of at shutdown.  The finished handles are
+    /// taken under the state lock and joined after it is released (this
+    /// function consumes the guard).
+    fn grow(inner: &Arc<PoolInner>, mut state: MutexGuard<'_, PoolState>, n: usize) {
+        // More handles than live workers: some retired since the last growth.
+        let finished: Vec<_> = if state.joiners.len() > state.current_workers {
+            state
+                .joiners
+                .extract_if(.., |handle| handle.is_finished())
+                .collect()
+        } else {
+            Vec::new()
+        };
+        for _ in 0..n {
+            state.current_workers += 1;
+            state.threads_started += 1;
+            state.peak_workers = state.peak_workers.max(state.current_workers);
+            let inner2 = Arc::clone(inner);
+            let mut builder = std::thread::Builder::new().name(format!(
+                "{}-{}",
+                inner.config.thread_name_prefix, state.threads_started
+            ));
+            if let Some(sz) = inner.config.stack_size {
+                builder = builder.stack_size(sz);
+            }
+            let handle = builder
+                .spawn(move || Self::worker_loop(inner2))
+                .expect("failed to spawn pool worker thread");
+            state.joiners.push(handle);
         }
-        let handle = builder
-            .spawn(move || Self::worker_loop(inner2))
-            .expect("failed to spawn pool worker thread");
-        state.joiners.push(handle);
+        drop(state);
+        for handle in finished {
+            // A worker never panics (jobs are unwound-caught), but be robust.
+            let _ = handle.join();
+        }
     }
 
     fn worker_loop(inner: Arc<PoolInner>) {
@@ -340,8 +360,9 @@ impl GrowingPool {
     /// Waits until every worker has exited or `deadline` passes, joining
     /// finished workers as it goes; returns `true` when all are gone.  Call
     /// [`begin_shutdown`](Self::begin_shutdown) first.  On `false`, the
-    /// unfinished handles stay registered for a later [`shutdown`]
-    /// (Self::shutdown) or [`detach_workers`](Self::detach_workers).
+    /// unfinished handles stay registered for a later
+    /// [`shutdown`](Self::shutdown) or
+    /// [`detach_workers`](Self::detach_workers).
     pub fn try_join_workers(&self, deadline: std::time::Instant) -> bool {
         let self_id = std::thread::current().id();
         let mut pending: Vec<std::thread::JoinHandle<()>> = Vec::new();
@@ -371,6 +392,13 @@ impl GrowingPool {
             }
             std::thread::sleep(Duration::from_millis(1));
         }
+    }
+
+    /// Join handles currently held: one per live worker plus one per worker
+    /// that retired since the pool last grew (test hook).
+    #[doc(hidden)]
+    pub fn join_handles_held(&self) -> usize {
+        self.inner.state.lock().joiners.len()
     }
 
     /// Abandons the remaining worker join handles without waiting for the
@@ -430,9 +458,9 @@ impl Executor for GrowingPool {
         // Grow-on-block: this thread stops draining the queue while work is
         // pending.  Without this, two submissions that both observed the
         // same idle worker could strand one task behind a block forever.
-        let mut state = self.inner.state.lock();
+        let state = self.inner.state.lock();
         if !state.queue.is_empty() && state.idle_workers == 0 && !state.shutdown {
-            Self::spawn_worker(&self.inner, &mut state);
+            Self::grow(&self.inner, state, 1);
         }
     }
 

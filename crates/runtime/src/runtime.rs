@@ -19,15 +19,22 @@ use crate::scheduler::{SchedulerConfig, StealOrder, WorkStealingScheduler};
 /// task is submitted and no worker is idle, plus a replacement worker when a
 /// worker blocks on pending work); they differ in queue structure and hence
 /// in contention behaviour.
+///
+/// Both stay because neither dominates (measured at PR 15, `benchmark/` at
+/// `--seconds 8`, 2 CPUs, four alternated runs a side): the single-queue
+/// pool is faster on `sieve` and `heat` (4 of 4 runs each) and holds
+/// roughly half the heap on `randomized`; work-stealing is 13–21 % faster on
+/// `churn` (4 of 4).  The selector exists for the `scheduler/*` benches, the
+/// both-kinds invariant tests and that comparison, and is not to be widened;
+/// once one scheduler closes its gap the other goes, with this enum.
 #[derive(Copy, Clone, Debug, PartialEq, Eq, Default)]
 pub enum SchedulerKind {
     /// The sharded work-stealing scheduler: per-worker Chase–Lev deques plus
     /// a sharded injector.  The default.
     #[default]
     WorkStealing,
-    /// The original single-queue pool: one mutex-protected `VecDeque` that
-    /// every submission and every worker serialises on.  Kept as the
-    /// baseline for scheduler benchmarks (`micro_ops` bench, `scheduler/*`).
+    /// The paper's single-queue pool: one mutex-protected `VecDeque` that
+    /// every submission and every worker serialises on.
     GrowingPool,
 }
 
@@ -227,8 +234,6 @@ pub struct RuntimeBuilder {
     policy: PolicyConfig,
     pool: PoolConfig,
     kind: SchedulerKind,
-    injector_shards: usize,
-    steal_order: StealOrder,
     blocked_aware_growth: bool,
     help: HelpConfig,
     chaos: Option<ChaosConfig>,
@@ -243,8 +248,6 @@ impl Default for RuntimeBuilder {
             policy: PolicyConfig::verified(),
             pool: PoolConfig::default(),
             kind: SchedulerKind::default(),
-            injector_shards: SchedulerConfig::default().injector_shards,
-            steal_order: StealOrder::default(),
             blocked_aware_growth: false,
             help: HelpConfig::default(),
             chaos: None,
@@ -289,27 +292,6 @@ impl RuntimeBuilder {
     /// [`SchedulerKind::WorkStealing`]).
     pub fn scheduler(mut self, kind: SchedulerKind) -> Self {
         self.kind = kind;
-        self
-    }
-
-    /// Number of injector shards of the work-stealing scheduler (ignored by
-    /// [`SchedulerKind::GrowingPool`]).
-    ///
-    /// More shards let more concurrent external submitters (and draining
-    /// workers) proceed in parallel; fewer shards make each drain sweep
-    /// cheaper.  The default (8) suits small machines — a multi-core tuning
-    /// knob, surfaced per the ROADMAP item.
-    pub fn injector_shards(mut self, shards: usize) -> Self {
-        self.injector_shards = shards.max(1);
-        self
-    }
-
-    /// Steal-order policy of the work-stealing scheduler (ignored by
-    /// [`SchedulerKind::GrowingPool`]): sequential round-robin sweeps
-    /// (default) or a per-thread randomized start that decorrelates thieves
-    /// on wide machines.  See [`StealOrder`].
-    pub fn steal_order(mut self, order: StealOrder) -> Self {
-        self.steal_order = order;
         self
     }
 
@@ -421,12 +403,12 @@ impl RuntimeBuilder {
     /// installs the scheduler as the context's executor.
     pub fn build(self) -> Runtime {
         let chaos = self.chaos.filter(ChaosConfig::is_active);
-        // Scheduler-level chaos: scrambled steals are just the existing
-        // randomized victim selection; scrambled spawns are a seeded jitter
-        // the scheduler applies to its worker-local fast path.
+        // Scheduler-level chaos: scrambled steals select the randomized
+        // victim order; scrambled spawns are a seeded jitter the scheduler
+        // applies to its worker-local fast path.
         let steal_order = match &chaos {
             Some(c) if c.scramble_steals => StealOrder::Randomized,
-            _ => self.steal_order,
+            _ => StealOrder::Sequential,
         };
         let spawn_jitter = match &chaos {
             Some(c) if c.scramble_spawns => Some(c.seed),
@@ -452,11 +434,9 @@ impl RuntimeBuilder {
             SchedulerKind::WorkStealing => {
                 Pool::Stealing(WorkStealingScheduler::new(SchedulerConfig {
                     base: pool_config,
-                    injector_shards: self.injector_shards,
                     steal_order,
                     blocked_aware_growth: self.blocked_aware_growth,
                     spawn_jitter,
-                    ..SchedulerConfig::default()
                 }))
             }
         };
@@ -547,9 +527,8 @@ impl Runtime {
     /// A live, exactly-once consumer of this runtime's alarms (see
     /// [`AlarmTail`]): each recorded alarm is yielded by exactly one `next`
     /// call across all concurrently tailing consumers, and `None` means
-    /// *nothing new right now*, never exhaustion.  This replaces the old
-    /// snapshot-then-[`clear`](Context::clear_alarms) pattern, which could
-    /// drop alarms recorded between the two calls.
+    /// *nothing new right now*, never exhaustion.  An alarm recorded while
+    /// another is being read is neither dropped nor delivered twice.
     pub fn alarm_tail(&self) -> AlarmTail {
         AlarmTail::new(Arc::clone(&self.ctx))
     }

@@ -1,8 +1,8 @@
 //! The sharded, work-stealing growing scheduler.
 //!
-//! This module replaces the single-mutex [`GrowingPool`] queue with a design
-//! whose hot paths are contention-free while preserving the paper's §6.3
-//! execution strategy (*"spawn a new thread for a new task when all existing
+//! Where [`GrowingPool`] keeps one mutex-guarded queue, this scheduler's hot
+//! paths are contention-free, while it preserves the paper's §6.3 execution
+//! strategy (*"spawn a new thread for a new task when all existing
 //! threads are in use"* — required because promises put no a-priori bound on
 //! how many tasks block simultaneously):
 //!
@@ -23,12 +23,12 @@
 //!
 //! 1. **at submission** (same rule as [`GrowingPool`]): if no worker is idle
 //!    when a task is enqueued, a new worker is spawned;
-//! 2. **at blocking** (new, via the [`Executor`] blocking seam): when a
-//!    worker blocks inside a promise `get` while queued work exists and no
-//!    worker is idle, a replacement worker is spawned.  This also closes a
-//!    starvation race the old pool had: two submissions could both observe
-//!    the same idle worker, which then took one task and blocked on it,
-//!    stranding the second task in the queue forever.
+//! 2. **at blocking** (via the [`Executor`] blocking seam, again as in
+//!    [`GrowingPool`]): when a worker blocks inside a promise `get` while
+//!    queued work exists and no worker is idle, a replacement worker is
+//!    spawned.  Without it two submissions could both observe the same idle
+//!    worker, which then took one task and blocked on it, stranding the
+//!    second task in the queue forever.
 //!
 //! Blocked workers are counted through [`Executor::on_task_blocked`] /
 //! [`on_task_unblocked`](Executor::on_task_unblocked), which `Promise::get`
@@ -128,11 +128,9 @@ use deque::{Steal, Stealer, WorkerDeque};
 
 /// Order in which a searching worker visits sibling deques when stealing.
 ///
-/// Exposed for multi-core tuning via
-/// [`RuntimeBuilder::steal_order`](crate::RuntimeBuilder::steal_order): the
-/// sequential sweep is cache-friendly and deterministic; the randomized
-/// start decorrelates searchers so that on wide machines many thieves do not
-/// all descend on the same victim deque after a batch lands.
+/// Not a user option: the runtime builds with the sequential sweep
+/// (cache-friendly and deterministic) and selects the randomized start
+/// itself when `ChaosConfig::scramble_steals` asks for perturbed schedules.
 #[derive(Copy, Clone, Debug, PartialEq, Eq, Default)]
 pub enum StealOrder {
     /// Start at the slot after the searcher's own and sweep round-robin
@@ -144,16 +142,19 @@ pub enum StealOrder {
     Randomized,
 }
 
+/// Number of injector shards external submissions spread over.
+const INJECTOR_SHARDS: usize = 8;
+
+/// Initial capacity of each worker's local deque (2 KiB of slots, allocated
+/// when the worker starts).
+const LOCAL_QUEUE_CAPACITY: usize = 256;
+
 /// Configuration of a [`WorkStealingScheduler`].
 #[derive(Clone, Debug)]
 pub struct SchedulerConfig {
     /// The pool knobs shared with [`GrowingPool`](crate::pool::GrowingPool):
     /// thread naming, keep-alive, stack size, eager workers.
     pub base: PoolConfig,
-    /// Number of injector shards external submissions spread over.
-    pub injector_shards: usize,
-    /// Initial capacity of each worker's local deque.
-    pub local_queue_capacity: usize,
     /// Order in which a searching worker visits sibling deques when
     /// stealing (see [`StealOrder`]).
     pub steal_order: StealOrder,
@@ -183,8 +184,6 @@ impl Default for SchedulerConfig {
     fn default() -> Self {
         SchedulerConfig {
             base: PoolConfig::default(),
-            injector_shards: 8,
-            local_queue_capacity: 256,
             steal_order: StealOrder::Sequential,
             blocked_aware_growth: false,
             spawn_jitter: None,
@@ -473,7 +472,7 @@ impl WorkStealingScheduler {
     /// Creates a scheduler with the given configuration.
     pub fn new(config: SchedulerConfig) -> Arc<WorkStealingScheduler> {
         let state = Arc::new(SchedState {
-            injector: injector::Injector::new(config.injector_shards),
+            injector: injector::Injector::new(INJECTOR_SHARDS),
             slots: RwLock::new(SlotTable::default()),
             index: IndexWord::new(),
             helper_stamps: RwLock::new(Vec::new()),
@@ -972,12 +971,12 @@ impl SchedState {
         // join loop finishes would never be joined and could run user code
         // after `shutdown()` returns.  Live workers finish the drain on
         // their own (they only exit once every queue is empty), and the
-        // final sweep settles anything left.  This mirrors the legacy
-        // GrowingPool, which also refuses to grow after shutdown.
+        // final sweep settles anything left.  `GrowingPool` refuses to grow
+        // after shutdown for the same reason.
         if self.shutdown.load(Ordering::SeqCst) {
             return;
         }
-        let (deque, stealer) = WorkerDeque::new(self.config.local_queue_capacity);
+        let (deque, stealer) = WorkerDeque::new(LOCAL_QUEUE_CAPACITY);
         let stamp = WorkerStamp::new();
         let occupant = Some((stealer, Arc::clone(&stamp)));
         // `current` moves under the table lock, here and at retirement, so

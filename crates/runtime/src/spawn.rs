@@ -10,28 +10,28 @@
 //! # The fused completion cell
 //!
 //! Every spawned task carries an implicit *completion promise* used by
-//! [`TaskHandle::join`].  It used to travel with a second, separate
-//! allocation — an `Arc<Mutex<Option<R>>>` side channel for the body's typed
-//! return value — plus a boxed job closure and a second box inside the
-//! scheduler deque: four allocator round trips per spawn.  The rebuilt path
-//! performs **zero** (in steady state):
+//! [`TaskHandle::join`].  A separate completion promise, an
+//! `Arc<Mutex<Option<R>>>` side channel for the body's typed return value, a
+//! boxed job closure and a second box inside the scheduler deque would be
+//! four allocator round trips per spawn.  This path performs **zero** (in
+//! steady state):
 //!
 //! * the completion promise is created *fused* with a typed
 //!   [`ResultSlot<R>`](promise_core::ResultSlot) in the same allocation
 //!   ([`Promise::try_new_with`]); the task wrapper `put`s the body's result
 //!   into the slot and `join` `take`s it after the completion promise
-//!   resolves — the mutex side channel is gone;
+//!   resolves — no mutex side channel;
 //! * the job closure lives in a thin, **recycled block**
 //!   ([`promise_core::Job`]): sharded block magazines (the generic
 //!   per-operation-locked protocol of `promise_core`'s `magazine` module)
 //!   recycle the record storage, and the thin record pointer is stored in
-//!   the deque slots (the old double box is gone structurally);
+//!   the deque slots (no double box, structurally);
 //! * the fused cell itself is a **pooled refcount block**
 //!   ([`promise_core::PoolArc`]): the reference-counted record shared by
 //!   the handle, the child, and the ownership ledger comes from the same
-//!   recycled block pool as the job records, so the one `Arc::new` that
-//!   used to remain per spawn is gone too (oversized result types fall
-//!   back to the heap; correctness never depends on fitting);
+//!   recycled block pool as the job records, so there is no per-spawn
+//!   `Arc::new` either (oversized result types fall back to the heap;
+//!   correctness never depends on fitting);
 //! * the transfer list and the child's ledger are inline-first small vectors
 //!   ([`promise_core::TransferList`]) of pooled erased handles
 //!   ([`promise_core::ErasedPromiseRef`]) — no `Vec` allocation and no
@@ -58,7 +58,7 @@
 //! time (the one-shot cell inside the promise rejects late fills
 //! regardless).
 //!
-//! # Completion semantics (unchanged from the pre-fusion design)
+//! # Completion semantics
 //!
 //! * if the body returns normally and the task fulfilled all of its owned
 //!   promises, the completion promise is `set` and `join` yields the body's
@@ -383,97 +383,5 @@ where
         // `resume_unwind` does not re-run the panic hook, so the panic is
         // printed once, at the original `panic!` site.
         std::panic::resume_unwind(payload);
-    }
-}
-
-/// The retained pre-fusion spawn path, benchable against the fused one.
-///
-/// This replicates the old per-spawn cost structure exactly: a separate
-/// completion promise, an `Arc<Mutex<Option<R>>>` result side channel, and a
-/// heap-allocated (never pooled) job record.  The `spawn_path` benches use
-/// it to report an honest old-vs-new delta on the same build; do not use it
-/// in new code.
-#[doc(hidden)]
-pub mod legacy {
-    use super::*;
-    use parking_lot::Mutex;
-
-    /// A joinable handle produced by [`spawn_legacy`].
-    pub struct LegacyHandle<R> {
-        completion: Promise<()>,
-        result: Arc<Mutex<Option<R>>>,
-    }
-
-    impl<R> LegacyHandle<R> {
-        /// Blocks until the task terminates and returns its result.
-        pub fn join(self) -> Result<R, PromiseError> {
-            self.completion.get()?;
-            let value = self
-                .result
-                .lock()
-                .take()
-                .expect("task completed successfully but produced no result value");
-            Ok(value)
-        }
-    }
-
-    /// The old spawn: two allocations for the completion/result pair plus an
-    /// unpooled job record.
-    pub fn spawn_legacy<C, F, R>(transfers: C, f: F) -> Result<LegacyHandle<R>, PromiseError>
-    where
-        C: PromiseCollection,
-        F: FnOnce() -> R + Send + 'static,
-        R: Send + 'static,
-    {
-        let ctx =
-            task::current_context().ok_or(PromiseError::NoCurrentTask { operation: "spawn" })?;
-        let completion = Promise::<()>::try_new(None)?;
-        let mut list = collect_promises(&transfers);
-        list.push(completion.as_erased());
-        let prepared = ownership::prepare_task(None, list)?;
-        let task_id = prepared.id();
-        let executor = ctx
-            .executor()
-            .expect("no executor installed in this Context");
-        let result: Arc<Mutex<Option<R>>> = Arc::new(Mutex::new(None));
-        let result_in_task = Arc::clone(&result);
-        let completion_in_task = completion.clone();
-        let job = Job::new_unpooled(move || {
-            let scope = prepared.activate();
-            let task_id = scope.id();
-            let outcome = catch_unwind(AssertUnwindSafe(f));
-            let panic_msg = match outcome {
-                Ok(value) => {
-                    *result_in_task.lock() = Some(value);
-                    None
-                }
-                Err(payload) => Some(panic_message(&*payload)),
-            };
-            let completion_id = completion_in_task.id();
-            let report = scope.finish_excluding(&[completion_id]);
-            match (panic_msg, report) {
-                (None, None) => {
-                    completion_in_task.fulfill_detached(());
-                }
-                (None, Some(report)) => {
-                    completion_in_task
-                        .as_erased()
-                        .complete_abandoned(PromiseError::OmittedSet(report));
-                }
-                (Some(msg), _) => {
-                    completion_in_task
-                        .as_erased()
-                        .complete_abandoned(PromiseError::TaskPanicked {
-                            task: task_id,
-                            message: Arc::from(msg.as_str()),
-                        });
-                }
-            }
-        });
-        if let Err(rejected) = executor.execute(job) {
-            drop(rejected.0);
-            return Err(PromiseError::RuntimeShutdown { task: task_id });
-        }
-        Ok(LegacyHandle { completion, result })
     }
 }

@@ -4,6 +4,10 @@
 //! The invariant: a submitted task must never starve behind workers that are
 //! all blocked on promises — the pool has to keep growing, because promises
 //! put no a-priori bound on the number of simultaneously blocked tasks.
+//!
+//! Every invariant runs under both `SchedulerKind`s: both schedulers ship
+//! (each is faster on some pinned workload, see `SchedulerKind`), so both
+//! must keep the invariant.
 
 use std::sync::Arc;
 use std::time::Duration;
