@@ -26,6 +26,12 @@
 //!   ([`SlotArena::reclaim`]): unmapped from the chunk table, parked in
 //!   limbo for two grace periods, then returned to the allocator — so a
 //!   long-lived process whose live set shrinks actually shrinks.
+//! * The chunk table itself is sized by use: a two-level **directory** whose
+//!   top level is an inline array of `MAX_CHUNKS / 128` page pointers (1 KiB
+//!   per arena) and whose pages each hold 128 chunk pointers next to their
+//!   reclamation metadata (2 KiB per page, allocated when the page's first
+//!   chunk is mapped).  An empty arena therefore allocates nothing, and an
+//!   arena of up to 128 K slots carries one page of directory.
 //! * Each slot carries a *generation* counter.  A slot is live while its
 //!   generation is even and non-zero; allocation and deallocation each bump
 //!   the generation, so a [`PackedRef`] captured when the slot was allocated
@@ -177,6 +183,22 @@
 //!   return a cross-occupancy value for Theorem 5.1 (no false alarms) to
 //!   hold.
 //!
+//! # The chunk directory
+//!
+//! A page is written once — allocated and published with Release under
+//! `grow_lock` when its first chunk is mapped — and freed only when the
+//! arena drops, so a reader that loads a non-null page pointer may use it
+//! for the arena's whole life.  Everything the reclamation argument above
+//! says about "the chunk table" is about the chunk pointers *inside* the
+//! pages: the `SeqCst` unlink, the remap stamps and the generation floors
+//! are the same stores to the same kind of entry, only the address of the
+//! entry changed.  A lookup is two dependent loads (page pointer, then
+//! chunk pointer), as it was with the boxed flat table, whose slice pointer
+//! had to be loaded first; the top level is inline in the arena.
+//! [`CachedResolver`] caches the chunk's metadata next to the chunk
+//! pointer, so the detector's cache hit is still one remap-stamp load and
+//! never reaches the directory.
+//!
 //! [`SlotArena::resolve`] turns a [`PackedRef`] into a [`SlotHandle`]
 //! carrying the slot's raw address, so repeated reads of the same slot (the
 //! detector's line-11 re-read of an already-resolved promise) skip the
@@ -204,6 +226,13 @@ pub const CHUNK_SIZE: usize = 1024;
 
 /// Maximum number of chunks an arena can grow to (16 M slots).
 pub const MAX_CHUNKS: usize = 16 * 1024;
+
+/// Chunk entries per directory page (one page covers 128 K slots).
+const PAGE_CHUNKS: usize = 128;
+
+/// Directory pages an arena can map: the inline top level, 1 KiB of page
+/// pointers.
+const PAGES: usize = MAX_CHUNKS / PAGE_CHUNKS;
 
 /// Values stored in arena slots.
 ///
@@ -251,8 +280,9 @@ impl<T: SlotValue> Chunk<T> {
     }
 }
 
-/// Per-chunk reclamation metadata, in a side table parallel to the chunk
-/// table (so readers touch it only on chunk-cache misses, never per slot).
+/// Per-chunk reclamation metadata, stored next to the chunk pointer in its
+/// directory entry (readers touch it only on chunk-cache misses and the
+/// [`CachedResolver`] stamp check, never per slot).
 struct ChunkMeta {
     /// Even lower bound for the generations of the chunk's *next* mapping:
     /// strictly above every generation the previous mapping ever handed out.
@@ -260,6 +290,44 @@ struct ChunkMeta {
     /// Bumped on every retire and every resurrect of this chunk index; a
     /// [`CachedResolver`] revalidates its cached chunk pointer against it.
     remap_stamp: AtomicU32,
+}
+
+/// Placeholder a fresh [`CachedResolver`] points at before its first fill;
+/// the resolver's initial chunk index, `usize::MAX`, matches no real chunk,
+/// so it is never read.
+static NO_CHUNK: ChunkMeta = ChunkMeta {
+    gen_floor: AtomicU32::new(0),
+    remap_stamp: AtomicU32::new(0),
+};
+
+/// One chunk's directory entry: the chunk-table pointer (null while the
+/// chunk is unmapped or retired) and the chunk's [`ChunkMeta`].
+struct ChunkEntry<T> {
+    chunk: AtomicPtr<Chunk<T>>,
+    meta: ChunkMeta,
+}
+
+/// A second-level directory page: the entries of `PAGE_CHUNKS` consecutive
+/// chunks (2 KiB).  Allocated under `grow_lock` when its first chunk is
+/// mapped, published with Release, and freed only when the arena drops —
+/// so a page, once reached, stays valid for the arena's whole life and only
+/// its entries' chunk pointers ever change.
+struct Page<T> {
+    entries: [ChunkEntry<T>; PAGE_CHUNKS],
+}
+
+impl<T> Page<T> {
+    fn new() -> Self {
+        Page {
+            entries: std::array::from_fn(|_| ChunkEntry {
+                chunk: AtomicPtr::new(std::ptr::null_mut()),
+                meta: ChunkMeta {
+                    gen_floor: AtomicU32::new(0),
+                    remap_stamp: AtomicU32::new(0),
+                },
+            }),
+        }
+    }
 }
 
 /// A chunk unlinked from the chunk table, awaiting its grace periods.
@@ -283,9 +351,10 @@ struct ReclaimState<T> {
 /// A growable, lock-free arena of generation-tagged slots with epoch-based
 /// chunk reclamation (see [`SlotArena::reclaim`]).
 pub struct SlotArena<T> {
-    chunks: Box<[AtomicPtr<Chunk<T>>]>,
-    /// Per-chunk generation floors and remap stamps (see [`ChunkMeta`]).
-    meta: Box<[ChunkMeta]>,
+    /// The chunk table, a two-level directory: page `i` holds the entries
+    /// of chunks `i * PAGE_CHUNKS ..`; a null pointer is a page no chunk
+    /// has been mapped in yet.
+    pages: [AtomicPtr<Page<T>>; PAGES],
     /// Number of chunks currently mapped (excludes limbo chunks, which are
     /// unlinked but still resident; see [`SlotArena::resident_bytes`]).
     mapped_chunks: AtomicUsize,
@@ -403,22 +472,29 @@ impl<T: SlotValue> Default for SlotArena<T> {
     }
 }
 
+impl<T> SlotArena<T> {
+    /// The directory entry of chunk `chunk_idx`; `None` when the index is
+    /// out of range or no chunk of its page has ever been mapped.
+    #[inline]
+    fn entry(&self, chunk_idx: usize) -> Option<&ChunkEntry<T>> {
+        let page = self
+            .pages
+            .get(chunk_idx / PAGE_CHUNKS)?
+            .load(Ordering::Acquire);
+        if page.is_null() {
+            return None;
+        }
+        // Safety: non-null page pointers point at fully initialised pages
+        // (published with Release under `grow_lock`) that are freed only in
+        // `Drop`, which has the arena exclusively.
+        Some(unsafe { &(*page).entries[chunk_idx % PAGE_CHUNKS] })
+    }
+}
+
 impl<T: SlotValue> SlotArena<T> {
     fn with_magazines(use_magazines: bool) -> Self {
-        let chunks = (0..MAX_CHUNKS)
-            .map(|_| AtomicPtr::new(std::ptr::null_mut()))
-            .collect::<Vec<_>>()
-            .into_boxed_slice();
-        let meta = (0..MAX_CHUNKS)
-            .map(|_| ChunkMeta {
-                gen_floor: AtomicU32::new(0),
-                remap_stamp: AtomicU32::new(0),
-            })
-            .collect::<Vec<_>>()
-            .into_boxed_slice();
         SlotArena {
-            chunks,
-            meta,
+            pages: [const { AtomicPtr::new(std::ptr::null_mut()) }; PAGES],
             mapped_chunks: AtomicUsize::new(0),
             limbo_chunks: AtomicUsize::new(0),
             peak_resident_chunks: AtomicUsize::new(0),
@@ -505,11 +581,10 @@ impl<T: SlotValue> SlotArena<T> {
     ///   pointer remains pinned (see [`crate::epoch`] and the module docs).
     #[inline]
     fn slot(&self, index: u32) -> Option<&Slot<T>> {
-        let chunk_idx = index as usize / CHUNK_SIZE;
-        if chunk_idx >= MAX_CHUNKS {
-            return None;
-        }
-        let ptr = self.chunks[chunk_idx].load(Ordering::Acquire);
+        let ptr = self
+            .entry(index as usize / CHUNK_SIZE)?
+            .chunk
+            .load(Ordering::Acquire);
         if ptr.is_null() {
             return None;
         }
@@ -527,11 +602,21 @@ impl<T: SlotValue> SlotArena<T> {
             "SlotArena exhausted: more than {} slots live at once",
             MAX_CHUNKS * CHUNK_SIZE
         );
-        if !self.chunks[chunk_idx].load(Ordering::Acquire).is_null() {
+        if self
+            .entry(chunk_idx)
+            .is_some_and(|e| !e.chunk.load(Ordering::Acquire).is_null())
+        {
             return;
         }
         let g = self.grow_lock.lock();
-        if !self.chunks[chunk_idx].load(Ordering::Acquire).is_null() {
+        let page = &self.pages[chunk_idx / PAGE_CHUNKS];
+        if page.load(Ordering::Acquire).is_null() {
+            // The page's first chunk: `grow_lock` makes this the only
+            // writer of the top level, and the page is never replaced.
+            page.store(Box::into_raw(Box::new(Page::new())), Ordering::Release);
+        }
+        let entry = self.entry(chunk_idx).expect("the page is published");
+        if !entry.chunk.load(Ordering::Acquire).is_null() {
             return;
         }
         // Fresh indices only ever land in chunks at the `next_fresh`
@@ -543,7 +628,7 @@ impl<T: SlotValue> SlotArena<T> {
             "fresh mapping of a retired chunk"
         );
         let chunk = Box::into_raw(Box::new(Chunk::new()));
-        self.chunks[chunk_idx].store(chunk, Ordering::Release);
+        entry.chunk.store(chunk, Ordering::Release);
         self.mapped_chunks.fetch_add(1, Ordering::Relaxed);
         self.note_resident_peak();
     }
@@ -864,7 +949,8 @@ impl<T: SlotValue> SlotArena<T> {
     /// Unlinks a fully-free chunk (all of whose indices the caller holds,
     /// detached from the free list) and parks it in limbo.
     fn retire_chunk_locked(&self, state: &mut ReclaimState<T>, chunk_idx: usize) {
-        let ptr = self.chunks[chunk_idx].load(Ordering::Acquire);
+        let entry = self.entry(chunk_idx).expect("a mapped chunk has a page");
+        let ptr = entry.chunk.load(Ordering::Acquire);
         debug_assert!(!ptr.is_null(), "retiring an unmapped chunk");
         // Safety: the chunk is mapped and `grow_lock` (held) is what frees
         // or remaps chunks.
@@ -878,16 +964,12 @@ impl<T: SlotValue> SlotArena<T> {
             max_gen = max_gen.max(s.generation.load(Ordering::Relaxed));
         }
         let floor = max_gen.wrapping_add(max_gen & 1);
-        self.meta[chunk_idx]
-            .gen_floor
-            .store(floor, Ordering::Relaxed);
-        self.meta[chunk_idx]
-            .remap_stamp
-            .fetch_add(1, Ordering::AcqRel);
+        entry.meta.gen_floor.store(floor, Ordering::Relaxed);
+        entry.meta.remap_stamp.fetch_add(1, Ordering::AcqRel);
         // Unlink first (SeqCst — the reader-side argument in the module
         // docs runs through the SeqCst total order), then stamp with the
         // epoch observed *after* the unlink.
-        self.chunks[chunk_idx].store(std::ptr::null_mut(), Ordering::SeqCst);
+        entry.chunk.store(std::ptr::null_mut(), Ordering::SeqCst);
         let retired_at = epoch::global_epoch();
         state.limbo.push(LimboChunk { ptr, retired_at });
         state.retired.push(chunk_idx as u32);
@@ -908,7 +990,8 @@ impl<T: SlotValue> SlotArena<T> {
             };
             chunk_idx = idx as usize;
             base = (chunk_idx * CHUNK_SIZE) as u32;
-            let floor = self.meta[chunk_idx].gen_floor.load(Ordering::Relaxed);
+            let entry = self.entry(chunk_idx).expect("a retired chunk has a page");
+            let floor = entry.meta.gen_floor.load(Ordering::Relaxed);
             let chunk = Box::new(Chunk::with_generation(floor));
             // Pre-link the chunk's indices (ascending) while nothing else
             // can reach them; the tail is re-pointed by `push_free_chain`.
@@ -917,10 +1000,8 @@ impl<T: SlotValue> SlotArena<T> {
                     .next_free
                     .store(base + k as u32 + 2, Ordering::Relaxed);
             }
-            self.meta[chunk_idx]
-                .remap_stamp
-                .fetch_add(1, Ordering::AcqRel);
-            self.chunks[chunk_idx].store(Box::into_raw(chunk), Ordering::Release);
+            entry.meta.remap_stamp.fetch_add(1, Ordering::AcqRel);
+            entry.chunk.store(Box::into_raw(chunk), Ordering::Release);
             self.mapped_chunks.fetch_add(1, Ordering::Relaxed);
             self.note_resident_peak();
         }
@@ -1016,6 +1097,7 @@ impl<T: SlotValue> SlotArena<T> {
             arena: self,
             chunk_idx: usize::MAX,
             chunk: std::ptr::null(),
+            meta: &NO_CHUNK,
             stamp: 0,
         }
     }
@@ -1193,6 +1275,9 @@ pub struct CachedResolver<'a, T> {
     arena: &'a SlotArena<T>,
     chunk_idx: usize,
     chunk: *const Chunk<T>,
+    /// The cached chunk's metadata, so a hit reads its remap stamp without
+    /// going through the directory again.
+    meta: &'a ChunkMeta,
     /// The chunk's remap stamp at cache-fill time; a mismatch on a later
     /// hit means the chunk was retired (and possibly remapped) in between,
     /// so the cached pointer is refetched.
@@ -1221,24 +1306,18 @@ impl<'a, T> CachedResolver<'a, T> {
         }
         let index = r.index() as usize;
         let chunk_idx = index / CHUNK_SIZE;
-        if chunk_idx >= MAX_CHUNKS {
-            return None;
-        }
         if chunk_idx != self.chunk_idx
-            || self.arena.meta[chunk_idx]
-                .remap_stamp
-                .load(Ordering::Acquire)
-                != self.stamp
+            || self.meta.remap_stamp.load(Ordering::Acquire) != self.stamp
         {
-            let stamp = self.arena.meta[chunk_idx]
-                .remap_stamp
-                .load(Ordering::Acquire);
-            let ptr = self.arena.chunks[chunk_idx].load(Ordering::Acquire);
+            let entry = self.arena.entry(chunk_idx)?;
+            let stamp = entry.meta.remap_stamp.load(Ordering::Acquire);
+            let ptr = entry.chunk.load(Ordering::Acquire);
             if ptr.is_null() {
                 return None;
             }
             self.chunk_idx = chunk_idx;
             self.chunk = ptr;
+            self.meta = &entry.meta;
             self.stamp = stamp;
         }
         // Safety: the cached pointer was read from the chunk table under the
@@ -1257,13 +1336,22 @@ impl<'a, T> CachedResolver<'a, T> {
 
 impl<T> Drop for SlotArena<T> {
     fn drop(&mut self) {
-        for chunk in self.chunks.iter() {
-            let ptr = chunk.load(Ordering::Acquire);
-            if !ptr.is_null() {
-                // Safety: pointers were created by `Box::into_raw` in
-                // `ensure_chunk` / `try_resurrect` and each table entry is
-                // dropped exactly once, here.
-                drop(unsafe { Box::from_raw(ptr) });
+        for page in self.pages.iter() {
+            let page = page.load(Ordering::Acquire);
+            if page.is_null() {
+                continue;
+            }
+            // Safety: page and chunk pointers were created by
+            // `Box::into_raw` (in `ensure_chunk` and `try_resurrect`), and
+            // each is dropped exactly once, here.
+            let page = unsafe { Box::from_raw(page) };
+            for entry in page.entries.iter() {
+                let ptr = entry.chunk.load(Ordering::Acquire);
+                if !ptr.is_null() {
+                    // Safety: as above; a retired chunk's entry is null, so
+                    // the limbo loop below cannot also see it.
+                    drop(unsafe { Box::from_raw(ptr) });
+                }
             }
         }
         // Chunks still waiting out their grace periods: `&mut self` proves
@@ -1280,9 +1368,10 @@ impl<T> Drop for SlotArena<T> {
 
 // Safety: all shared state inside the arena is atomics, mutex-protected, or
 // the `MagazinePool`, whose shard locks (see `crate::magazine`) make its
-// interior-mutable cells exclusive to one thread at a time.  The chunks are
-// owned through raw pointers, so Send/Sync must be asserted manually; the
-// payload type is required to be Send + Sync (via `SlotValue`).
+// interior-mutable cells exclusive to one thread at a time.  The directory
+// pages and the chunks are owned through raw pointers, so Send/Sync must be
+// asserted manually; the payload type is required to be Send + Sync (via
+// `SlotValue`).
 unsafe impl<T: SlotValue> Send for SlotArena<T> {}
 unsafe impl<T: SlotValue> Sync for SlotArena<T> {}
 
@@ -1525,8 +1614,8 @@ mod tests {
     #[test]
     fn concurrent_alloc_free_stress() {
         let arena: Arc<SlotArena<TestCell>> = Arc::new(SlotArena::new());
-        let threads = 8;
-        let per_thread = 2000;
+        let threads = if cfg!(miri) { 3 } else { 8 };
+        let per_thread = if cfg!(miri) { 60 } else { 2000 };
         let handles: Vec<_> = (0..threads)
             .map(|t| {
                 let arena = Arc::clone(&arena);
@@ -1577,7 +1666,7 @@ mod tests {
             let arena = Arc::clone(&arena);
             std::thread::spawn(move || {
                 let mut saw_value = 0u64;
-                for _ in 0..100_000 {
+                for _ in 0..if cfg!(miri) { 1_000 } else { 100_000 } {
                     match arena.read(r, |c| c.value.load(Ordering::Relaxed)) {
                         Some(v) => {
                             assert_eq!(v, 1, "stale reference must never observe recycled data");
@@ -1740,6 +1829,101 @@ mod tests {
              pointer would have reported it dead"
         );
         arena.free(fresh);
+    }
+
+    /// The directory past its first page: 129 chunks map page 1, then one
+    /// chunk on each page is retired and resurrected.  Stale refs into
+    /// either chunk read as dead through both resolvers, before (chunk
+    /// unmapped) and after (generation floor) the resurrection, and a
+    /// cached resolver alternating between the pages follows both remaps.
+    #[test]
+    #[cfg_attr(miri, ignore = "maps 132 K slots; too slow interpreted")]
+    fn chunks_past_the_first_directory_page_retire_and_resurrect() {
+        let arena: SlotArena<TestCell> = SlotArena::new_global_only();
+        let refs: Vec<_> = (0..(PAGE_CHUNKS + 1) * CHUNK_SIZE)
+            .map(|_| arena.alloc())
+            .collect();
+        assert!(!arena.pages[1].load(Ordering::Relaxed).is_null());
+        assert!(arena.pages[2].load(Ordering::Relaxed).is_null());
+        // The global path hands out ascending indices: refs[i] is slot i.
+        let victims = [0, PAGE_CHUNKS];
+        let stale = victims.map(|c| refs[c * CHUNK_SIZE]);
+        let dead_through_both = |r: PackedRef| {
+            let pin = epoch::pin();
+            let read = |h: SlotHandle<'_, TestCell>| h.read_field(|_| ());
+            arena.resolve(r, &pin).and_then(read).is_none()
+                && arena
+                    .cached_resolver(&pin)
+                    .resolve(r)
+                    .and_then(read)
+                    .is_none()
+        };
+        let pin = epoch::pin();
+        let mut resolver = arena.cached_resolver(&pin);
+        for r in stale {
+            assert!(resolver
+                .resolve(r)
+                .and_then(|h| h.read_field(|_| ()))
+                .is_some());
+        }
+        for c in victims {
+            for r in &refs[c * CHUNK_SIZE..(c + 1) * CHUNK_SIZE] {
+                arena.free(*r);
+            }
+        }
+        // Retirement needs no grace period; the pin above only delays the
+        // free, which this test does not wait for.
+        arena.reclaim();
+        assert_eq!(arena.grow_lock.lock().retired.len(), 2);
+        for r in stale {
+            assert!(
+                arena.resolve(r, &pin).is_none(),
+                "retired chunk is unmapped"
+            );
+            assert!(resolver.resolve(r).is_none());
+            assert!(dead_through_both(r));
+        }
+        // Every other slot is live, so the free list is dry and the next
+        // allocations remap both retired chunks instead of growing.
+        let footprint = arena.high_water_slots();
+        let fresh: Vec<_> = (0..2 * CHUNK_SIZE).map(|_| arena.alloc()).collect();
+        assert_eq!(arena.high_water_slots(), footprint);
+        for (i, r) in fresh.iter().enumerate() {
+            assert!(victims.contains(&(r.index() as usize / CHUNK_SIZE)));
+            arena
+                .read(*r, |c| c.value.store(i as u64, Ordering::Relaxed))
+                .unwrap();
+        }
+        // Alternate pages so each step refetches through the directory.
+        let mut by_page: Vec<_> = fresh.iter().enumerate().collect();
+        by_page.sort_by_key(|(_, r)| (r.index() as usize % CHUNK_SIZE, r.index()));
+        for (i, r) in by_page {
+            let h = resolver.resolve(*r).expect("remapped chunk resolves");
+            assert_eq!(
+                h.read_field(|c| c.value.load(Ordering::Relaxed)),
+                Some(i as u64)
+            );
+        }
+        for r in stale {
+            assert!(resolver
+                .resolve(r)
+                .and_then(|h| h.read_field(|_| ()))
+                .is_none());
+            assert!(dead_through_both(r));
+            assert!(!arena.is_live(r));
+        }
+        drop(pin);
+        for c in 0..=PAGE_CHUNKS {
+            if !victims.contains(&c) {
+                for r in &refs[c * CHUNK_SIZE..(c + 1) * CHUNK_SIZE] {
+                    arena.free(*r);
+                }
+            }
+        }
+        for r in fresh {
+            arena.free(r);
+        }
+        assert_eq!(arena.live(), 0);
     }
 
     #[test]

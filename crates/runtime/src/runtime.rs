@@ -20,13 +20,15 @@ use crate::scheduler::{SchedulerConfig, StealOrder, WorkStealingScheduler};
 /// worker blocks on pending work); they differ in queue structure and hence
 /// in contention behaviour.
 ///
-/// Both stay because neither dominates (measured at PR 15, `benchmark/` at
-/// `--seconds 8`, 2 CPUs, four alternated runs a side): the single-queue
-/// pool is faster on `sieve` and `heat` (4 of 4 runs each) and holds
-/// roughly half the heap on `randomized`; work-stealing is 13–21 % faster on
-/// `churn` (4 of 4).  The selector exists for the `scheduler/*` benches, the
-/// both-kinds invariant tests and that comparison, and is not to be widened;
-/// once one scheduler closes its gap the other goes, with this enum.
+/// Both stay because neither dominates (`benchmark/` at `--seconds 8`,
+/// 2 CPUs, four alternated runs a side, with 8-slot worker rings): wall
+/// times on `sieve`, `heat` and `randomized` are within 1 % of each other,
+/// the single-queue pool holds 10–14 % less heap on `heat` and
+/// `randomized`, and work-stealing is 6 % faster on `churn` (4 of 4); the
+/// README's scheduler section has the runs.  The selector exists for the
+/// `scheduler/*` benches, the both-kinds invariant tests and that
+/// comparison, and is not to be widened; once one scheduler closes its gap
+/// the other goes, with this enum.
 #[derive(Copy, Clone, Debug, PartialEq, Eq, Default)]
 pub enum SchedulerKind {
     /// The sharded work-stealing scheduler: per-worker Chase–Lev deques plus

@@ -14,11 +14,16 @@
 //!   Every slot access is a plain atomic load/store, so the algorithm's
 //!   benign speculative reads (a stealer reading a slot it then fails to
 //!   claim) never produce a torn value.
-//! * **Retired buffers are kept alive until the deque dies.**  When the
-//!   owner grows the ring, the old buffer is pushed onto a graveyard list
-//!   instead of being freed, so a stealer that raced the growth still reads
-//!   from valid memory.  Buffers double in size, so the graveyard holds less
-//!   total memory than the live buffer.
+//! * **Rings start small and retired rings are kept alive until the deque
+//!   dies.**  A worker's ring starts at 8 slots (64 B) and doubles when a
+//!   push finds it full, so a worker that never queues more than a few
+//!   jobs — most of a §6.3 pool — never holds more.  The new ring records
+//!   the one it replaced in its `retired` header field before it is
+//!   published, so a stealer that raced the growth still reads from valid
+//!   memory; the chain is written only by the owner (`grow`) and read only
+//!   by `Drop`, which has the deque exclusively, so it needs no lock.
+//!   Rings double in size, so the chain holds less memory than the live
+//!   ring.
 //!
 //! Ownership of a popped/stolen pointer transfers to exactly one caller: the
 //! single successful CAS on `top` (steals and the last-element pop) or the
@@ -29,8 +34,6 @@ use std::ptr;
 use std::sync::atomic::{fence, AtomicIsize, AtomicPtr, Ordering};
 use std::sync::Arc;
 
-use parking_lot::Mutex;
-
 use promise_core::Job;
 
 /// A slot value: the job's raw record pointer ([`Job::into_raw`]).
@@ -38,14 +41,21 @@ type Slot = *mut ();
 
 struct Buffer {
     cap: usize,
+    /// The ring this one replaced (null for a deque's first ring); written
+    /// before the ring is published, read only by `Drop`.
+    retired: *mut Buffer,
     slots: Box<[AtomicPtr<()>]>,
 }
 
 impl Buffer {
-    fn alloc(cap: usize) -> *mut Buffer {
+    fn alloc(cap: usize, retired: *mut Buffer) -> *mut Buffer {
         debug_assert!(cap.is_power_of_two());
         let slots = (0..cap).map(|_| AtomicPtr::new(ptr::null_mut())).collect();
-        Box::into_raw(Box::new(Buffer { cap, slots }))
+        Box::into_raw(Box::new(Buffer {
+            cap,
+            retired,
+            slots,
+        }))
     }
 
     #[inline]
@@ -60,24 +70,20 @@ struct DequeState {
     /// Next steal position; advanced by successful CASes.
     top: AtomicIsize,
     /// The live ring buffer; replaced (never mutated in place) on growth.
+    /// Its `retired` chain keeps the rings it replaced alive for stealers
+    /// that raced a growth.
     buffer: AtomicPtr<Buffer>,
-    /// Retired ring buffers, kept alive for stealers that raced a growth.
-    graveyard: Mutex<Vec<*mut Buffer>>,
 }
-
-// Raw pointers make the state !Send/!Sync by default; all cross-thread
-// access goes through the atomics with the protocol described above.
-unsafe impl Send for DequeState {}
-unsafe impl Sync for DequeState {}
 
 impl Drop for DequeState {
     fn drop(&mut self) {
         // Exclusive access: free unclaimed jobs, the live buffer, and the
-        // graveyard.  Dropping a job box drops its captured state (for a
-        // spawned task this runs the `PreparedTask` exit machinery).
+        // chain of retired ones.  Dropping a job box drops its captured
+        // state (for a spawned task this runs the `PreparedTask` exit
+        // machinery).
         let b = self.bottom.load(Ordering::Relaxed);
         let t = self.top.load(Ordering::Relaxed);
-        let buf_ptr = self.buffer.load(Ordering::Relaxed);
+        let mut buf_ptr = self.buffer.load(Ordering::Relaxed);
         unsafe {
             let buf = &*buf_ptr;
             for i in t..b {
@@ -86,10 +92,13 @@ impl Drop for DequeState {
                     drop(Job::from_raw(slot));
                 }
             }
-            drop(Box::from_raw(buf_ptr));
-        }
-        for old in self.graveyard.lock().drain(..) {
-            unsafe { drop(Box::from_raw(old)) };
+            // Each ring has exactly one owning pointer — the live one
+            // `buffer`, every retired one its successor's `retired` — so
+            // walking the chain frees each once.
+            while !buf_ptr.is_null() {
+                let buf = Box::from_raw(buf_ptr);
+                buf_ptr = buf.retired;
+            }
         }
     }
 }
@@ -118,14 +127,13 @@ pub(crate) enum Steal {
 
 impl WorkerDeque {
     /// Creates an empty deque (and its stealer) with room for `cap_hint`
-    /// jobs before the first growth.
+    /// (rounded up to a power of two) jobs before the first growth.
     pub(crate) fn new(cap_hint: usize) -> (WorkerDeque, Stealer) {
-        let cap = cap_hint.next_power_of_two().max(64);
+        let cap = cap_hint.next_power_of_two();
         let state = Arc::new(DequeState {
             bottom: AtomicIsize::new(0),
             top: AtomicIsize::new(0),
-            buffer: AtomicPtr::new(Buffer::alloc(cap)),
-            graveyard: Mutex::new(Vec::new()),
+            buffer: AtomicPtr::new(Buffer::alloc(cap, ptr::null_mut())),
         });
         (
             WorkerDeque {
@@ -206,16 +214,15 @@ impl WorkerDeque {
         let s = &*self.state;
         let old_ptr = s.buffer.load(Ordering::Relaxed);
         let old = unsafe { &*old_ptr };
-        let new_ptr = Buffer::alloc(old.cap * 2);
+        let new_ptr = Buffer::alloc(old.cap * 2, old_ptr);
         let new = unsafe { &*new_ptr };
         for i in t..b {
             new.slot(i)
                 .store(old.slot(i).load(Ordering::Relaxed), Ordering::Relaxed);
         }
         // Publish the new ring; stealers still reading the old one keep a
-        // valid view because the old buffer stays alive in the graveyard.
+        // valid view because the new ring's `retired` chain keeps it alive.
         s.buffer.store(new_ptr, Ordering::Release);
-        s.graveyard.lock().push(old_ptr);
         new
     }
 }
@@ -265,7 +272,9 @@ impl Stealer {
 
 #[cfg(test)]
 mod tests {
+    use super::super::LOCAL_QUEUE_CAPACITY;
     use super::*;
+    use parking_lot::Mutex;
     use std::sync::atomic::AtomicUsize;
     use std::sync::Arc;
 
@@ -287,7 +296,7 @@ mod tests {
     #[test]
     fn growth_preserves_all_jobs() {
         let (q, _s) = WorkerDeque::new(4);
-        let n = 1000; // forces several growths past the 64 minimum
+        let n = if cfg!(miri) { 40 } else { 1000 }; // several doublings from 4
         let hits = Arc::new(AtomicUsize::new(0));
         for _ in 0..n {
             let hits = Arc::clone(&hits);
@@ -324,9 +333,11 @@ mod tests {
 
     #[test]
     fn concurrent_stealing_claims_each_job_exactly_once() {
-        let n = 20_000usize;
+        let n = if cfg!(miri) { 200 } else { 20_000usize };
         let stealers = 4;
-        let (q, s) = WorkerDeque::new(64);
+        // A worker's starting ring, so the stealers race every doubling
+        // from 8 slots up.
+        let (q, s) = WorkerDeque::new(LOCAL_QUEUE_CAPACITY);
         let executed = Arc::new(AtomicUsize::new(0));
         let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
 

@@ -145,9 +145,11 @@ pub enum StealOrder {
 /// Number of injector shards external submissions spread over.
 const INJECTOR_SHARDS: usize = 8;
 
-/// Initial capacity of each worker's local deque (2 KiB of slots, allocated
-/// when the worker starts).
-const LOCAL_QUEUE_CAPACITY: usize = 256;
+/// Initial capacity of each worker's local deque: 8 slots (64 B), allocated
+/// when the worker starts.  Most workers of a §6.3 pool are started because
+/// another blocked and never queue more than a few jobs; a worker that does
+/// grows its ring by doubling (see [`deque`]).
+const LOCAL_QUEUE_CAPACITY: usize = 8;
 
 /// Configuration of a [`WorkStealingScheduler`].
 #[derive(Clone, Debug)]
