@@ -63,18 +63,31 @@
 use std::alloc::{alloc, dealloc, handle_alloc_error, Layout};
 use std::mem::{ManuallyDrop, MaybeUninit};
 use std::ptr::NonNull;
-use std::sync::atomic::{AtomicI64, Ordering};
+use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 
 use crate::magazine::{MagazineBackend, MagazinePool};
 
-/// Size in bytes of one pooled job block (header + inline payload).  Typical
-/// spawn records — prepared task, fused completion handle, a small closure —
-/// are 100–200 bytes; larger closures fall back to the heap.
+/// Size in bytes of one pooled job block (header + inline payload).
+///
+/// A spawn record is the 24-byte [`Job`] header, the 152-byte
+/// [`PreparedTask`](crate::task::PreparedTask) (its inline four-entry
+/// ledger is 64 bytes of one-word
+/// [`ErasedPromiseRef`](crate::ErasedPromiseRef)s), the 8-byte completion
+/// handle and the body closure: a body capturing up to **72 bytes** fits;
+/// a larger one falls back to the heap (counted in
+/// [`JobPoolStats::heap_records`]).  A promise cell is a 24-byte
+/// [`pool_arc`](crate::pool_arc) header plus the promise.
 pub const JOB_BLOCK_SIZE: usize = 256;
 
 /// Alignment of pooled job blocks (covers every payload the runtime builds;
 /// over-aligned payloads fall back to the heap).
 pub const JOB_BLOCK_ALIGN: usize = 16;
+
+/// Whether a record of `layout` fits a pooled block — the one routing
+/// rule of both clients, [`Job::new`] and [`PoolArc`](crate::PoolArc).
+pub(crate) const fn fits_block(layout: Layout) -> bool {
+    layout.size() <= JOB_BLOCK_SIZE && layout.align() <= JOB_BLOCK_ALIGN
+}
 
 fn block_layout() -> Layout {
     // Infallible: both constants are valid at compile time.
@@ -91,6 +104,15 @@ static GLOBAL_FREE: parking_lot::Mutex<Vec<usize>> = parking_lot::Mutex::new(Vec
 
 /// Outstanding-block contribution of the global (non-magazine) path.
 static GLOBAL_LIVE: AtomicI64 = AtomicI64::new(0);
+
+/// Records too large for a block, allocated on the heap instead.
+static HEAP_RECORDS: AtomicU64 = AtomicU64::new(0);
+
+/// Counts one record that did not fit a block ([`JobPoolStats::heap_records`]).
+/// Called on the cold fallback path of both clients only.
+pub(crate) fn count_heap_record() {
+    HEAP_RECORDS.fetch_add(1, Ordering::Relaxed);
+}
 
 fn fresh_block() -> usize {
     // SAFETY: the layout has non-zero size.
@@ -182,6 +204,10 @@ pub struct JobPoolStats {
     /// Block allocs plus frees that found both probed magazines locked and
     /// took the backstop mutex instead.
     pub shared_path_ops: u64,
+    /// Job and promise-cell records, so far, too large for a block and
+    /// allocated on the heap instead.  Stays 0 while every spawn body fits
+    /// its block (see [`JOB_BLOCK_SIZE`]).
+    pub heap_records: u64,
 }
 
 /// Reads the pool accounting.  See [`JobPoolStats`].
@@ -192,6 +218,7 @@ pub fn job_pool_stats() -> JobPoolStats {
         free: GLOBAL_FREE.lock().len(),
         magazine_ops: MAGAZINES.magazine_ops(),
         shared_path_ops: MAGAZINES.shared_path_ops(),
+        heap_records: HEAP_RECORDS.load(Ordering::Relaxed),
     }
 }
 
@@ -267,14 +294,22 @@ pub struct Job {
 unsafe impl Send for Job {}
 
 impl Job {
+    /// Whether a job wrapping a closure of type `F` fits a pooled block
+    /// (compile-time layout check, the job-side twin of
+    /// [`PoolArc::fits_pool_block`](crate::PoolArc::fits_pool_block)).
+    pub const fn fits<F>() -> bool {
+        fits_block(Layout::new::<Packed<F>>())
+    }
+
     /// Wraps a closure, using a recycled block when the record fits
     /// [`JOB_BLOCK_SIZE`].
     pub fn new<F: FnOnce() + Send + 'static>(f: F) -> Job {
         let layout = Layout::new::<Packed<F>>();
-        let pooled = layout.size() <= JOB_BLOCK_SIZE && layout.align() <= JOB_BLOCK_ALIGN;
+        let pooled = Self::fits::<F>();
         let raw = if pooled {
             pool_alloc()
         } else {
+            count_heap_record();
             // SAFETY: `Packed<F>` is never zero-sized (it contains the
             // header's function pointers).
             let ptr = unsafe { alloc(layout) };
@@ -386,11 +421,15 @@ mod tests {
     #[test]
     fn oversized_payloads_fall_back_to_the_heap() {
         let big = [7u8; 4 * JOB_BLOCK_SIZE];
+        assert!(!Job::fits::<[u8; 4 * JOB_BLOCK_SIZE]>());
+        assert!(Job::fits::<[u8; 64]>());
         let out = Arc::new(AtomicUsize::new(0));
         let o = Arc::clone(&out);
+        let heap_before = job_pool_stats().heap_records;
         let job = Job::new(move || {
             o.store(big.iter().map(|&b| b as usize).sum(), Ordering::Relaxed);
         });
+        assert!(job_pool_stats().heap_records > heap_before, "counted");
         job.run();
         assert_eq!(out.load(Ordering::Relaxed), 7 * 4 * JOB_BLOCK_SIZE);
     }
@@ -414,7 +453,7 @@ mod tests {
         let before = job_pool_stats().outstanding;
         std::thread::spawn(move || {
             let _worker = counters::register_worker();
-            for i in 0..200 {
+            for i in 0..if cfg!(miri) { 20 } else { 200 } {
                 let job = Job::new(move || {
                     std::hint::black_box(i);
                 });
@@ -434,6 +473,7 @@ mod tests {
         // corrupt either magazine; accounting stays balanced.
         let _guard = pool_serial();
         let before = job_pool_stats().outstanding;
+        let jobs = if cfg!(miri) { 50 } else { 500 };
         let (tx, rx) = std::sync::mpsc::channel::<Job>();
         let consumer = std::thread::spawn(move || {
             let _worker = counters::register_worker();
@@ -446,7 +486,7 @@ mod tests {
         });
         std::thread::spawn(move || {
             let _worker = counters::register_worker();
-            for i in 0..500 {
+            for i in 0..jobs {
                 tx.send(Job::new(move || {
                     std::hint::black_box(i);
                 }))
@@ -455,7 +495,7 @@ mod tests {
         })
         .join()
         .unwrap();
-        assert_eq!(consumer.join().unwrap(), 500);
+        assert_eq!(consumer.join().unwrap(), jobs);
         assert_outstanding_settles_to(before);
     }
 }

@@ -110,10 +110,12 @@ pub fn prepare_task_named(
             return Ok(PreparedTask { body: Some(body) });
         }
 
-        // Collapse duplicate handles to the same promise.
+        // Collapse duplicate handles to the same promise.  Quadratic in the
+        // transfer count, so it compares handles, not ids through the
+        // vtable: a subtree hand-off moves thousands of promises at once.
         let mut unique = TransferList::new();
         for p in transfers {
-            if !unique.iter().any(|q| q.id() == p.id()) {
+            if !unique.iter().any(|q| ErasedPromiseRef::ptr_eq(q, &p)) {
                 unique.push(p);
             }
         }

@@ -224,9 +224,10 @@ impl Ledger {
 pub(crate) struct TaskBody {
     pub(crate) ctx: Arc<Context>,
     pub(crate) id: TaskId,
-    /// Always a plain string (only promises get derived names), and the
-    /// body travels inside the spawn's 256-byte job record, which has no
-    /// room for a structured [`Name`](crate::Name).
+    /// Always a plain string (only promises get derived names).  The body
+    /// travels inside the spawn's 256-byte job record, where a structured
+    /// [`Name`](crate::Name) (32 bytes against 16) would come out of the
+    /// 72 bytes left for the spawned closure.
     pub(crate) name: Option<Arc<str>>,
     /// The task's slot in the context's task arena ([`PackedRef::NULL`] when
     /// ownership tracking is disabled).
@@ -467,6 +468,12 @@ pub(crate) fn sweep_ledger_before_park(ctx: &Context) {
 pub struct PreparedTask {
     pub(crate) body: Option<TaskBody>,
 }
+
+// A spawn's job record is this task, the completion handle and the body
+// closure in one 256-byte block (see `crate::job::JOB_BLOCK_SIZE`): at 152
+// bytes a body capturing up to 72 bytes fits.  A field added to `TaskBody`
+// must break the build here rather than send every spawn to the heap.
+const _: () = assert!(std::mem::size_of::<PreparedTask>() <= 152);
 
 impl std::fmt::Debug for PreparedTask {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {

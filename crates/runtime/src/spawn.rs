@@ -33,14 +33,17 @@
 //!   `Arc::new` either (oversized result types fall back to the heap;
 //!   correctness never depends on fitting);
 //! * the transfer list and the child's ledger are inline-first small vectors
-//!   ([`promise_core::TransferList`]) of pooled erased handles
+//!   ([`promise_core::TransferList`]) of pooled one-word erased handles
 //!   ([`promise_core::ErasedPromiseRef`]) — no `Vec` allocation and no
 //!   `Arc<dyn>` allocation for the common zero-to-three-transfer spawn.
 //!
 //! Steady-state spawn → run → retire therefore performs **no
-//! global-allocator call at all** once the magazines and queues are warm;
-//! the `zero_alloc_spawn` integration test pins this with a counting global
-//! allocator, and the `spawn_path` benches report the allocation counts.
+//! global-allocator call at all** once the magazines and queues are warm,
+//! for any body capturing up to 72 bytes (the job record's block budget;
+//! see [`promise_core::job::JOB_BLOCK_SIZE`] and the compile-time guard
+//! below); the `zero_alloc_spawn` integration test pins this with a
+//! counting global allocator, and the `spawn_path` benches report the
+//! allocation counts.
 //! A *named* spawn makes exactly one — its name, which the task and its
 //! completion promise `name::completion` share
 //! ([`Name::Completion`](promise_core::Name)); `promise-sync`'s
@@ -119,6 +122,13 @@ pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
         "task panicked".to_string()
     }
 }
+
+// A spawn's job record — `move || run_task(prepared, f, completion)` — must
+// keep fitting its pooled block with room for a real body: this tuple is
+// that closure's captures with a 64-byte body.  Growing `PreparedTask` or
+// the completion handle past it breaks the build here instead of putting an
+// allocator call back on every spawn.
+const _: () = assert!(Job::fits::<(PreparedTask, [u64; 8], CompletionPromise<u64>)>());
 
 /// Creates the fused completion cell for a task named `name`, then the
 /// prepared task owning it (plus the caller-collected transfers).
