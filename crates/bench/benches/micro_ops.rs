@@ -9,7 +9,9 @@
 //!   the alternating owner/waitingOn edges below it, so the verified-to-
 //!   baseline ratio grows with the chain length.  This is the mechanism
 //!   behind the Sieve outlier in Table 1 (§6.3): Sieve keeps thousands of
-//!   tasks blocked in one long chain.
+//!   tasks blocked in one long chain;
+//! * `scheduler/*` — three spawn/join-heavy shapes (flat and nested root
+//!   fan-out, a fork/join tree) through the scheduler.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -17,7 +19,7 @@ use std::time::Duration;
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
 use promise_core::{HelpConfig, OneShotCell, Promise, VerificationMode};
-use promise_runtime::{spawn, Runtime, SchedulerKind};
+use promise_runtime::{spawn, Runtime};
 
 const CELL: &str = "lockfree-cell";
 
@@ -259,7 +261,7 @@ fn fanout_flat(rt: &Runtime, width: usize) -> u64 {
 
 /// Nested fan-out: every root-spawned task spawns one nested task and blocks
 /// on its promise — the worker-local submission path plus the grow-on-block
-/// hand-off, the shape that stresses `GrowingPool`'s single queue hardest.
+/// hand-off.
 fn fanout_nested(rt: &Runtime, width: usize) -> u64 {
     rt.block_on(|| {
         let mut handles = Vec::with_capacity(width);
@@ -315,11 +317,10 @@ fn forkjoin_tree(rt: &Runtime, depth: u32) -> u64 {
     rt.block_on(|| node(depth)).unwrap()
 }
 
-/// Both schedulers on three spawn/join-heavy shapes, with ≥ 4 workers kept
-/// warm.  Both stay because neither dominates: at PR 15 (2 CPUs, unverified,
-/// three runs) the two fan-outs read parity and `forkjoin_tree/8` 2.24 1.76
-/// 2.24 ms for `GrowingPool` against 3.17 3.49 3.42 ms for work-stealing,
-/// while the pinned `churn` workload favours work-stealing by 13–21 %.
+/// The scheduler on three spawn/join-heavy shapes, unverified, each on its
+/// own runtime with ≥ 4 workers kept warm.  `fanout_flat/64` is pure root
+/// fan-out through the injector, the cost the pinned `churn` workload pays
+/// each wave.
 fn scheduler_compare(c: &mut Criterion) {
     type Shape = (&'static str, u64, fn(&Runtime) -> u64);
     let mut group = c.benchmark_group("scheduler");
@@ -332,19 +333,14 @@ fn scheduler_compare(c: &mut Criterion) {
     ];
     for (shape, tasks, run) in shapes {
         group.throughput(Throughput::Elements(tasks));
-        for kind in [SchedulerKind::GrowingPool, SchedulerKind::WorkStealing] {
-            let rt = Runtime::builder()
-                .verification(VerificationMode::Unverified)
-                .scheduler(kind)
-                .initial_workers(4)
-                .worker_keep_alive(Duration::from_secs(10))
-                .build();
-            // Warm the pool up so thread creation is off the measured path.
-            let _ = run(&rt);
-            group.bench_function(BenchmarkId::new(shape, kind.label()), |b| {
-                b.iter(|| run(&rt))
-            });
-        }
+        let rt = Runtime::builder()
+            .verification(VerificationMode::Unverified)
+            .initial_workers(4)
+            .worker_keep_alive(Duration::from_secs(10))
+            .build();
+        // Warm the pool up so thread creation is off the measured path.
+        let _ = run(&rt);
+        group.bench_function(shape, |b| b.iter(|| run(&rt)));
     }
     group.finish();
 }

@@ -7,10 +7,8 @@
 //!   submitted and every existing worker is busy, and whenever a worker
 //!   blocks on a promise while work is queued.  This is the execution
 //!   strategy the paper requires, because with promises there is no a-priori
-//!   bound on the number of tasks that may block simultaneously.  Two
-//!   implementations exist, each faster on some pinned workload: the
-//!   sharded work-stealing [`scheduler`] (default) and the single-queue
-//!   [`pool`] (selectable via [`RuntimeBuilder::scheduler`]);
+//!   bound on the number of tasks that may block simultaneously.  The one
+//!   implementation is the sharded work-stealing [`scheduler`];
 //! * **spawning with ownership transfer** ([`spawn()`], [`spawn_named`]): the
 //!   `async (p1, …, pn) { … }` construct of the paper — the listed promises
 //!   move from the parent to the child before the child becomes runnable,
@@ -57,7 +55,7 @@ pub mod finish;
 pub mod handle;
 pub mod metrics;
 pub mod observe;
-pub mod pool;
+mod pool;
 pub mod runtime;
 pub mod scheduler;
 pub mod spawn;
@@ -67,9 +65,9 @@ pub use finish::{finish, FinishScope};
 pub use handle::{CompletionPromise, TaskHandle};
 pub use metrics::{DetectionStats, RunMetrics};
 pub use observe::{AlarmTail, ObserveConfig};
-pub use pool::{GrowingPool, PoolConfig, PoolStats};
+pub use pool::{PoolConfig, PoolStats, WorkerExitHook};
 pub use promise_core::HelpConfig;
-pub use runtime::{Runtime, RuntimeBuilder, SchedulerKind, ShutdownReport, WatchdogConfig};
+pub use runtime::{Runtime, RuntimeBuilder, ShutdownReport, WatchdogConfig};
 pub use scheduler::{SchedulerConfig, StealOrder, WorkStealingScheduler, WorkerProgress};
 pub use spawn::{
     spawn, spawn_cancellable, spawn_named, try_spawn, try_spawn_named, try_spawn_with_token,

@@ -10,102 +10,8 @@ use promise_core::{
 
 use crate::metrics::RunMetrics;
 use crate::observe::{AlarmTail, ObserveConfig, Observer};
-use crate::pool::{GrowingPool, PoolConfig, PoolStats};
+use crate::pool::{PoolConfig, PoolStats};
 use crate::scheduler::{SchedulerConfig, StealOrder, WorkStealingScheduler};
-
-/// Which task-scheduler implementation a [`Runtime`] uses.
-///
-/// Both honour the paper's §6.3 growth strategy (a new worker whenever a
-/// task is submitted and no worker is idle, plus a replacement worker when a
-/// worker blocks on pending work); they differ in queue structure and hence
-/// in contention behaviour.
-///
-/// Both stay because neither dominates (`benchmark/` at `--seconds 8`,
-/// 2 CPUs, four alternated runs a side, with 8-slot worker rings): wall
-/// times on `sieve`, `heat` and `randomized` are within 1 % of each other,
-/// the single-queue pool holds 10–14 % less heap on `heat` and
-/// `randomized`, and work-stealing is 6 % faster on `churn` (4 of 4); the
-/// README's scheduler section has the runs.  The selector exists for the
-/// `scheduler/*` benches, the both-kinds invariant tests and that
-/// comparison, and is not to be widened; once one scheduler closes its gap
-/// the other goes, with this enum.
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Default)]
-pub enum SchedulerKind {
-    /// The sharded work-stealing scheduler: per-worker Chase–Lev deques plus
-    /// a sharded injector.  The default.
-    #[default]
-    WorkStealing,
-    /// The paper's single-queue pool: one mutex-protected `VecDeque` that
-    /// every submission and every worker serialises on.
-    GrowingPool,
-}
-
-impl SchedulerKind {
-    /// A short stable label (used by benchmarks).
-    pub fn label(self) -> &'static str {
-        match self {
-            SchedulerKind::WorkStealing => "work-stealing",
-            SchedulerKind::GrowingPool => "growing-pool",
-        }
-    }
-}
-
-/// The concrete scheduler behind a [`Runtime`].
-enum Pool {
-    Growing(Arc<GrowingPool>),
-    Stealing(Arc<WorkStealingScheduler>),
-}
-
-impl Pool {
-    fn as_executor(&self) -> Arc<dyn Executor> {
-        match self {
-            Pool::Growing(p) => Arc::clone(p) as Arc<dyn Executor>,
-            Pool::Stealing(s) => Arc::clone(s) as Arc<dyn Executor>,
-        }
-    }
-
-    fn stats(&self) -> PoolStats {
-        match self {
-            Pool::Growing(p) => p.stats(),
-            Pool::Stealing(s) => s.stats(),
-        }
-    }
-
-    fn shutdown(&self) {
-        match self {
-            Pool::Growing(p) => p.shutdown(),
-            Pool::Stealing(s) => s.shutdown(),
-        }
-    }
-
-    fn begin_shutdown(&self) {
-        match self {
-            Pool::Growing(p) => p.begin_shutdown(),
-            Pool::Stealing(s) => s.begin_shutdown(),
-        }
-    }
-
-    fn try_join_workers(&self, deadline: Instant) -> bool {
-        match self {
-            Pool::Growing(p) => p.try_join_workers(deadline),
-            Pool::Stealing(s) => s.try_join_workers(deadline),
-        }
-    }
-
-    fn detach_workers(&self) {
-        match self {
-            Pool::Growing(p) => p.detach_workers(),
-            Pool::Stealing(s) => s.detach_workers(),
-        }
-    }
-
-    fn drain_queued(&self) -> usize {
-        match self {
-            Pool::Growing(p) => p.drain_queued(),
-            Pool::Stealing(s) => s.drain_queued(),
-        }
-    }
-}
 
 /// Configuration of the opt-in stall watchdog (see
 /// [`RuntimeBuilder::watchdog`]).
@@ -235,7 +141,6 @@ pub struct ShutdownReport {
 pub struct RuntimeBuilder {
     policy: PolicyConfig,
     pool: PoolConfig,
-    kind: SchedulerKind,
     blocked_aware_growth: bool,
     help: HelpConfig,
     chaos: Option<ChaosConfig>,
@@ -249,7 +154,6 @@ impl Default for RuntimeBuilder {
         RuntimeBuilder {
             policy: PolicyConfig::verified(),
             pool: PoolConfig::default(),
-            kind: SchedulerKind::default(),
             blocked_aware_growth: false,
             help: HelpConfig::default(),
             chaos: None,
@@ -290,16 +194,8 @@ impl RuntimeBuilder {
         self
     }
 
-    /// Selects the scheduler implementation (default:
-    /// [`SchedulerKind::WorkStealing`]).
-    pub fn scheduler(mut self, kind: SchedulerKind) -> Self {
-        self.kind = kind;
-        self
-    }
-
-    /// Opt-in blocked-aware growth heuristic for the work-stealing scheduler
-    /// (ignored by [`SchedulerKind::GrowingPool`]): grow a new worker only
-    /// when every live worker is blocked inside a promise wait
+    /// Opt-in blocked-aware growth heuristic for the scheduler: grow a new
+    /// worker only when every live worker is blocked inside a promise wait
     /// (`workers - blocked == 0`), instead of whenever a task is submitted
     /// and no worker is idle (the paper's literal §6.3 rule).
     ///
@@ -321,11 +217,10 @@ impl RuntimeBuilder {
     ///
     /// **On by default** (`HelpConfig::default()`); pass
     /// [`HelpConfig::disabled()`] to turn it off, in which case the blocking
-    /// `get` path pays exactly one untaken branch.  Both schedulers
-    /// implement the helping hook.  Helping only engages for tasks whose
-    /// verification mode keeps a list ledger (the gate needs to prove the
-    /// blocked task owes nothing another task could wait on), so unverified
-    /// baseline runs park exactly as before.
+    /// `get` path pays exactly one untaken branch.  Helping only engages for
+    /// tasks whose verification mode keeps a list ledger (the gate needs to
+    /// prove the blocked task owes nothing another task could wait on), so
+    /// unverified baseline runs park exactly as before.
     pub fn help(mut self, config: HelpConfig) -> Self {
         self.help = config;
         self
@@ -360,10 +255,8 @@ impl RuntimeBuilder {
     /// thread samples each worker's progress stamp and records an
     /// [`Alarm::Stall`] when a worker sits on one job beyond the threshold.
     ///
-    /// Only the work-stealing scheduler exposes progress stamps; with
-    /// [`SchedulerKind::GrowingPool`] the knob is ignored.  Off by default —
-    /// a stall alarm is a liveness heuristic, not a verifier result, so it
-    /// must never fire in workloads that did not ask for it.
+    /// Off by default — a stall alarm is a liveness heuristic, not a verifier
+    /// result, so it must never fire in workloads that did not ask for it.
     pub fn watchdog(mut self, config: WatchdogConfig) -> Self {
         self.watchdog = Some(config);
         self
@@ -431,47 +324,32 @@ impl RuntimeBuilder {
                 ctx.reclaim_memory();
             }
         }));
-        let pool = match self.kind {
-            SchedulerKind::GrowingPool => Pool::Growing(GrowingPool::new(pool_config)),
-            SchedulerKind::WorkStealing => {
-                Pool::Stealing(WorkStealingScheduler::new(SchedulerConfig {
-                    base: pool_config,
-                    steal_order,
-                    blocked_aware_growth: self.blocked_aware_growth,
-                    spawn_jitter,
-                }))
-            }
-        };
-        let installed = ctx.set_executor(pool.as_executor());
+        let scheduler = WorkStealingScheduler::new(SchedulerConfig {
+            base: pool_config,
+            steal_order,
+            blocked_aware_growth: self.blocked_aware_growth,
+            spawn_jitter,
+        });
+        let installed = ctx.set_executor(Arc::clone(&scheduler) as Arc<dyn Executor>);
         debug_assert!(installed);
         let installed_help = ctx.set_help_config(self.help);
         debug_assert!(installed_help);
-        let watchdog = match (&self.watchdog, &pool) {
-            (Some(config), Pool::Stealing(sched)) => Some(Watchdog::spawn(
-                config.clone(),
-                Arc::clone(&ctx),
-                Arc::clone(sched),
-            )),
-            _ => None,
-        };
+        let watchdog = self
+            .watchdog
+            .map(|config| Watchdog::spawn(config, Arc::clone(&ctx), Arc::clone(&scheduler)));
         let observer = self.observe.map(|config| {
-            let stats_fn: Box<dyn Fn() -> PoolStats + Send + Sync> = match &pool {
-                Pool::Growing(p) => {
-                    let p = Arc::clone(p);
-                    Box::new(move || p.stats())
-                }
-                Pool::Stealing(s) => {
-                    let s = Arc::clone(s);
-                    Box::new(move || s.stats())
-                }
-            };
-            Observer::spawn(config, Arc::clone(&ctx), stats_fn)
+            let scheduler = Arc::clone(&scheduler);
+            Observer::spawn(
+                config,
+                Arc::clone(&ctx),
+                Box::new(move || scheduler.stats()),
+            )
         });
         Runtime {
             watchdog,
             observer,
             ctx,
-            pool,
+            scheduler,
         }
     }
 }
@@ -481,14 +359,14 @@ impl RuntimeBuilder {
 /// Dropping the runtime shuts the scheduler down (waiting for queued tasks).
 pub struct Runtime {
     /// First field so the monitor thread stops (and releases its `Arc`s to
-    /// the context and scheduler) before the pool's drop-shutdown runs.
+    /// the context and scheduler) before the scheduler's drop-shutdown runs.
     watchdog: Option<Watchdog>,
-    /// Declared before `pool` for the same drop-order reason as the
-    /// watchdog; the explicit shutdown paths stop it *after* the pool
+    /// Declared before `scheduler` for the same drop-order reason as the
+    /// watchdog; the explicit shutdown paths stop it *after* the scheduler
     /// drains so the final sample captures the end state.
     observer: Option<Observer>,
     ctx: Arc<Context>,
-    pool: Pool,
+    scheduler: Arc<WorkStealingScheduler>,
 }
 
 impl Default for Runtime {
@@ -523,7 +401,7 @@ impl Runtime {
 
     /// Scheduler activity counters.
     pub fn pool_stats(&self) -> PoolStats {
-        self.pool.stats()
+        self.scheduler.stats()
     }
 
     /// A live, exactly-once consumer of this runtime's alarms (see
@@ -589,7 +467,7 @@ impl Runtime {
         let metrics = RunMetrics {
             wall,
             counters: after.since(&before),
-            pool: self.pool.stats(),
+            pool: self.scheduler.stats(),
             peak_live_tasks: self.ctx.peak_live_tasks(),
             peak_live_promises: self.ctx.peak_live_promises(),
             memory: self.ctx.memory_stats(),
@@ -611,7 +489,7 @@ impl Runtime {
         // Mark the context before the admission gate closes, so any job the
         // teardown discards un-run takes the sanctioned-abandonment exit.
         self.ctx.begin_shutdown();
-        self.pool.shutdown();
+        self.scheduler.shutdown();
         // Drain the observability plane last: its final sample (and alarm
         // sweep) then captures the run's end state.
         if let Some(mut observer) = self.observer.take() {
@@ -650,21 +528,21 @@ impl Runtime {
         let before = self.ctx.counter_snapshot();
         self.watchdog.take();
         self.ctx.begin_shutdown();
-        self.pool.begin_shutdown();
-        let mut clean = self.pool.try_join_workers(deadline_at);
+        self.scheduler.begin_shutdown();
+        let mut clean = self.scheduler.try_join_workers(deadline_at);
         let mut dropped_jobs = 0;
         if !clean {
             self.ctx.shutdown_token().cancel();
-            dropped_jobs = self.pool.drain_queued();
-            clean = self.pool.try_join_workers(Instant::now() + QUANTUM);
+            dropped_jobs = self.scheduler.drain_queued();
+            clean = self.scheduler.try_join_workers(Instant::now() + QUANTUM);
             if !clean {
-                self.pool.detach_workers();
+                self.scheduler.detach_workers();
             }
         }
         // Settle anything that raced admission (also runs in the clean case,
         // where it finds the queues empty).
-        dropped_jobs += self.pool.drain_queued();
-        // Drain the observability feed now that the pool has settled: the
+        dropped_jobs += self.scheduler.drain_queued();
+        // Drain the observability feed now that the scheduler has settled: the
         // sampler's final sample includes everything the drain produced
         // (cancellation counters, dropped-job alarms) before the report.
         if let Some(mut observer) = self.observer.take() {
@@ -684,7 +562,7 @@ impl Runtime {
 impl Drop for Runtime {
     fn drop(&mut self) {
         // A runtime dropped without an explicit shutdown still tears down
-        // (the pool's drop joins workers and sweeps the queues); mark the
+        // (the scheduler's drop joins workers and sweeps the queues); mark the
         // context first so swept jobs take the same sanctioned-abandonment
         // exit as an explicit `shutdown`.  Runs before the field drops, and
         // is idempotent after either shutdown method.
@@ -696,7 +574,7 @@ impl std::fmt::Debug for Runtime {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Runtime")
             .field("mode", &self.ctx.config().mode)
-            .field("pool", &self.pool.stats())
+            .field("pool", &self.scheduler.stats())
             .finish()
     }
 }

@@ -6,8 +6,8 @@
 //! FIFO segments, each behind its own cache-padded lock, with pushes spread
 //! round-robin: concurrent submitters (and concurrent draining workers) hit
 //! different shards and proceed in parallel instead of serialising on one
-//! global lock (`GrowingPool`'s single queue is the one-lock design; the
-//! pinned `churn` root fan-out is where the difference shows).
+//! global lock (the pinned `churn` root fan-out is where the difference
+//! shows).
 //!
 //! A shared `len` counter gives workers a cheap is-there-anything-at-all
 //! probe so the common empty case costs one atomic load, not a lock sweep.

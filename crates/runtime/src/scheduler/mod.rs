@@ -1,8 +1,8 @@
-//! The sharded, work-stealing growing scheduler.
+//! The sharded, work-stealing growing scheduler: the runtime's one
+//! scheduler.
 //!
-//! Where [`GrowingPool`] keeps one mutex-guarded queue, this scheduler's hot
-//! paths are contention-free, while it preserves the paper's §6.3 execution
-//! strategy (*"spawn a new thread for a new task when all existing
+//! Its hot paths are contention-free, while it preserves the paper's §6.3
+//! execution strategy (*"spawn a new thread for a new task when all existing
 //! threads are in use"* — required because promises put no a-priori bound on
 //! how many tasks block simultaneously):
 //!
@@ -21,14 +21,13 @@
 //! The paper's pool must guarantee: a submitted task never waits behind
 //! workers that are all busy or blocked.  Two triggers preserve this:
 //!
-//! 1. **at submission** (same rule as [`GrowingPool`]): if no worker is idle
-//!    when a task is enqueued, a new worker is spawned;
-//! 2. **at blocking** (via the [`Executor`] blocking seam, again as in
-//!    [`GrowingPool`]): when a worker blocks inside a promise `get` while
-//!    queued work exists and no worker is idle, a replacement worker is
-//!    spawned.  Without it two submissions could both observe the same idle
-//!    worker, which then took one task and blocked on it, stranding the
-//!    second task in the queue forever.
+//! 1. **at submission**: if no worker is idle when a task is enqueued, a new
+//!    worker is spawned;
+//! 2. **at blocking** (via the [`Executor`] blocking seam): when a worker
+//!    blocks inside a promise `get` while queued work exists and no worker
+//!    is idle, a replacement worker is spawned.  Without it two submissions
+//!    could both observe the same idle worker, which then took one task and
+//!    blocked on it, stranding the second task in the queue forever.
 //!
 //! Blocked workers are counted through [`Executor::on_task_blocked`] /
 //! [`on_task_unblocked`](Executor::on_task_unblocked), which `Promise::get`
@@ -105,8 +104,6 @@
 //! worker's progress stamp is re-armed around every helped job, so the
 //! stall watchdog sees helped throughput as progress, not as one long
 //! episode.
-//!
-//! [`GrowingPool`]: crate::pool::GrowingPool
 
 mod deque;
 mod injector;
@@ -154,8 +151,8 @@ const LOCAL_QUEUE_CAPACITY: usize = 8;
 /// Configuration of a [`WorkStealingScheduler`].
 #[derive(Clone, Debug)]
 pub struct SchedulerConfig {
-    /// The pool knobs shared with [`GrowingPool`](crate::pool::GrowingPool):
-    /// thread naming, keep-alive, stack size, eager workers.
+    /// The pool knobs: thread naming, keep-alive, stack size, eager workers
+    /// and the worker exit hook.
     pub base: PoolConfig,
     /// Order in which a searching worker visits sibling deques when
     /// stealing (see [`StealOrder`]).
@@ -973,8 +970,7 @@ impl SchedState {
         // join loop finishes would never be joined and could run user code
         // after `shutdown()` returns.  Live workers finish the drain on
         // their own (they only exit once every queue is empty), and the
-        // final sweep settles anything left.  `GrowingPool` refuses to grow
-        // after shutdown for the same reason.
+        // final sweep settles anything left.
         if self.shutdown.load(Ordering::SeqCst) {
             return;
         }

@@ -314,7 +314,7 @@ where
 /// thread's task stack (LIFO, popped by the exit check), the exit sweep and
 /// completion settling touch only this frame's prepared state, and the
 /// final `resume_unwind` of a panicking body is caught by the helping
-/// boundary (`run_helped` / `GrowingPool::try_help`) exactly like the
+/// boundary (`run_helped`) exactly like the
 /// worker-loop backstop — the suspended outer frame never observes the
 /// unwind.
 pub(crate) fn run_task<F, R>(prepared: PreparedTask, f: F, completion: CompletionPromise<R>)

@@ -1,12 +1,11 @@
-//! Keep-alive churn on both schedulers: a retired worker is joined while the
-//! pool runs, not at shutdown.
+//! Keep-alive churn: a retired worker is joined while the scheduler runs,
+//! not at shutdown.
 //!
 //! An exited but unjoined thread keeps its stack mapped, and a pool that
-//! "shrinks" without joining frees nothing.  The work-stealing scheduler
-//! keeps one record per worker slot and joins a retired thread when its slot
-//! turns over; `GrowingPool` joins the finished ones whenever it grows.
-//! Either way the join handles held are bounded by the most workers that
-//! were ever alive at once (`peak_workers`).  A pool that only joins at
+//! "shrinks" without joining frees nothing.  The scheduler keeps one record
+//! per worker slot and joins a retired thread when its slot turns over, so
+//! the join handles held are bounded by the most workers that were ever
+//! alive at once (`peak_workers`).  A pool that only joins at
 //! shutdown accumulates one handle per thread ever started
 //! (`threads_started`), which this test's five waves push to five times the
 //! peak.
@@ -16,8 +15,8 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use promise_core::{Executor, Job};
-use promise_runtime::{GrowingPool, PoolConfig, PoolStats, SchedulerConfig, WorkStealingScheduler};
+use promise_core::Job;
+use promise_runtime::{PoolConfig, SchedulerConfig, WorkStealingScheduler};
 
 const WAVES: usize = 5;
 const JOBS: usize = 64;
@@ -48,13 +47,17 @@ thread_local! {
     static THREAD_FINISHED: RefCell<Option<ThreadFinished>> = const { RefCell::new(None) };
 }
 
-fn churn_keeps_join_handles_bounded(
-    pool: &impl Executor,
-    stats: impl Fn() -> PoolStats,
-    join_handles_held: impl Fn() -> usize,
-) {
+#[test]
+fn retired_workers_are_joined_when_their_slot_turns_over() {
+    let sched = WorkStealingScheduler::new(SchedulerConfig {
+        base: PoolConfig {
+            keep_alive: Duration::from_millis(20),
+            ..PoolConfig::default()
+        },
+        ..SchedulerConfig::default()
+    });
     let assert_handles_bounded = || {
-        let (held, peak) = (join_handles_held(), stats().peak_workers);
+        let (held, peak) = (sched.join_handles_held(), sched.stats().peak_workers);
         assert!(
             held <= peak,
             "{held} join handles held by a pool that peaked at {peak} workers"
@@ -83,55 +86,33 @@ fn churn_keeps_join_handles_bounded(
                 }
                 ran.fetch_add(1, Ordering::Relaxed);
             });
-            pool.execute(job).ok().unwrap();
+            sched.submit(job).ok().unwrap();
         }
         for _ in 0..JOBS {
             started_rx.recv_timeout(Duration::from_secs(30)).unwrap();
         }
-        assert!(stats().current_workers >= JOBS, "wave {wave}");
+        assert!(sched.stats().current_workers >= JOBS, "wave {wave}");
         assert_handles_bounded();
         drop(latch);
         // The next wave starts a keep-alive later: once every worker of
         // this one has retired and its thread has finished, so the wave
         // must start its threads afresh and finds every old one joinable.
         let deadline = Instant::now() + Duration::from_secs(30);
-        while stats().current_workers > 0 || finished.load(Ordering::SeqCst) < (wave + 1) * JOBS {
+        while sched.stats().current_workers > 0
+            || finished.load(Ordering::SeqCst) < (wave + 1) * JOBS
+        {
             assert!(Instant::now() < deadline, "workers never retired");
             assert_handles_bounded();
             std::thread::sleep(Duration::from_millis(2));
         }
     }
     assert_eq!(ran.load(Ordering::Relaxed), WAVES * JOBS, "every job ran");
-    let totals = stats();
+    let totals = sched.stats();
     assert!(
         totals.threads_started >= 2 * totals.peak_workers,
         "the waves were meant to churn threads: {totals:?}"
     );
     assert_handles_bounded();
-}
-
-fn churn_config() -> PoolConfig {
-    PoolConfig {
-        keep_alive: Duration::from_millis(20),
-        ..PoolConfig::default()
-    }
-}
-
-#[test]
-fn retired_workers_are_joined_when_their_slot_turns_over() {
-    let sched = WorkStealingScheduler::new(SchedulerConfig {
-        base: churn_config(),
-        ..SchedulerConfig::default()
-    });
-    churn_keeps_join_handles_bounded(&*sched, || sched.stats(), || sched.join_handles_held());
     sched.shutdown();
     assert_eq!(sched.join_handles_held(), 0, "shutdown joins the rest");
-}
-
-#[test]
-fn growing_pool_joins_retired_workers_when_it_grows() {
-    let pool = GrowingPool::new(churn_config());
-    churn_keeps_join_handles_bounded(&*pool, || pool.stats(), || pool.join_handles_held());
-    pool.shutdown();
-    assert_eq!(pool.join_handles_held(), 0, "shutdown joins the rest");
 }
