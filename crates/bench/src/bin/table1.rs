@@ -6,7 +6,7 @@
 //! cargo run -p promise-bench --release --bin table1 -- \
 //!     [--scale smoke|default|stress|paper] [--runs N] [--warmups N] \
 //!     [--filter NAME] [--no-memory] [--paper-protocol] \
-//!     [--blocked-aware-growth] [--no-help] \
+//!     [--no-help] \
 //!     [--json PATH | --no-json] [--compare OLD.json NEW.json]
 //! ```
 //!
@@ -30,18 +30,14 @@ fn main() {
             eprintln!("error: {e}");
             eprintln!(
                 "usage: table1 [--scale smoke|default|stress|paper] [--runs N] [--warmups N] \
-                 [--filter NAME] [--no-memory] [--paper-protocol] [--blocked-aware-growth] \
-                 [--no-help] [--observe PATH] [--json PATH | --no-json] \
+                 [--filter NAME] [--no-memory] [--paper-protocol] [--no-help] \
+                 [--observe PATH] [--json PATH | --no-json] \
                  [--compare OLD.json NEW.json]"
             );
             std::process::exit(2);
         }
     };
 
-    if opts.blocked_aware_growth {
-        promise_bench::BLOCKED_AWARE_GROWTH.store(true, std::sync::atomic::Ordering::Relaxed);
-        println!("(runtimes built with blocked_aware_growth(true))");
-    }
     if opts.no_help {
         promise_bench::HELP_DISABLED.store(true, std::sync::atomic::Ordering::Relaxed);
         println!("(runtimes built with help(HelpConfig::disabled()))");

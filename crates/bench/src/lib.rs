@@ -85,13 +85,6 @@ impl BenchmarkResult {
     }
 }
 
-/// Process-wide switch: when set (the `--blocked-aware-growth` CLI flag),
-/// [`runtime_for`] builds runtimes with the opt-in
-/// `RuntimeBuilder::blocked_aware_growth(true)` heuristic — the soak
-/// variant that exercises the grow-only-when-all-blocked policy under the
-/// full workload suite.
-pub static BLOCKED_AWARE_GROWTH: AtomicBool = AtomicBool::new(false);
-
 /// Process-wide switch: when set (the `--no-help` CLI flag), [`runtime_for`]
 /// builds runtimes with steal-to-wait helping disabled
 /// (`RuntimeBuilder::help(HelpConfig::disabled())`) — the soak variant that
@@ -112,7 +105,6 @@ pub static OBSERVE_JSONL: OnceLock<PathBuf> = OnceLock::new();
 pub fn runtime_for(mode: VerificationMode) -> Runtime {
     let mut builder = Runtime::builder()
         .verification(mode)
-        .blocked_aware_growth(BLOCKED_AWARE_GROWTH.load(Ordering::Relaxed))
         // Keep idle workers around between repeated runs, like the paper's
         // persistent thread pool within one VM instance.
         .worker_keep_alive(Duration::from_secs(2));
@@ -508,9 +500,6 @@ pub struct CliOptions {
     /// `table1` binary runs no measurements and prints the per-workload
     /// median delta table between the two artifacts instead.
     pub compare: Option<(String, String)>,
-    /// Build the measured runtimes with the opt-in blocked-aware growth
-    /// heuristic (see [`BLOCKED_AWARE_GROWTH`]).
-    pub blocked_aware_growth: bool,
     /// Build the measured runtimes with steal-to-wait helping disabled
     /// (see [`HELP_DISABLED`]; helping is on by default).
     pub no_help: bool,
@@ -529,7 +518,6 @@ impl Default for CliOptions {
             skip_memory: false,
             json_path: Some("BENCH_table1.json".to_string()),
             compare: None,
-            blocked_aware_growth: false,
             no_help: false,
             observe: None,
         }
@@ -541,7 +529,7 @@ impl CliOptions {
     /// Recognised flags: `--scale <smoke|default|stress|paper>`, `--runs N`,
     /// `--warmups N`, `--filter NAME`, `--no-memory`, `--paper-protocol`,
     /// `--json PATH`, `--no-json`, `--compare OLD.json NEW.json`,
-    /// `--blocked-aware-growth`, `--no-help`, `--observe PATH`.
+    /// `--no-help`, `--observe PATH`.
     pub fn parse(args: &[String]) -> Result<CliOptions, String> {
         let mut opts = CliOptions::default();
         let mut i = 0;
@@ -573,7 +561,6 @@ impl CliOptions {
                     opts.filter = Some(args.get(i).ok_or("--filter needs a value")?.clone());
                 }
                 "--no-memory" => opts.skip_memory = true,
-                "--blocked-aware-growth" => opts.blocked_aware_growth = true,
                 "--no-help" => opts.no_help = true,
                 "--observe" => {
                     i += 1;

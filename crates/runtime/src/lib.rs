@@ -3,12 +3,14 @@
 //! A task-parallel runtime for ownership-verified promises, reproducing the
 //! execution environment of the paper's evaluation (§6.3):
 //!
-//! * a **growing scheduler**: a new OS thread is spawned whenever a task is
-//!   submitted and every existing worker is busy, and whenever a worker
-//!   blocks on a promise while work is queued.  This is the execution
-//!   strategy the paper requires, because with promises there is no a-priori
-//!   bound on the number of tasks that may block simultaneously.  The one
-//!   implementation is the sharded work-stealing [`scheduler`];
+//! * a **growing scheduler**: a submitted task that finds no idle worker
+//!   gets a new OS thread while fewer workers than cores are runnable, and
+//!   every worker that blocks on a promise while work is queued is replaced
+//!   at once.  This keeps the guarantee the paper's execution strategy
+//!   exists for (§6.3): with promises there is no a-priori bound on the
+//!   number of tasks that may block simultaneously.  Waits outside promises
+//!   are covered when declared with [`blocking()`].  The one implementation
+//!   is the sharded work-stealing [`scheduler`];
 //! * **spawning with ownership transfer** ([`spawn()`], [`spawn_named`]): the
 //!   `async (p1, …, pn) { … }` construct of the paper — the listed promises
 //!   move from the parent to the child before the child becomes runnable,
@@ -51,6 +53,7 @@
 #![warn(missing_docs)]
 
 pub mod batch;
+mod blocking;
 pub mod finish;
 pub mod handle;
 pub mod metrics;
@@ -61,6 +64,7 @@ pub mod scheduler;
 pub mod spawn;
 
 pub use batch::{spawn_batch, SpawnBatch};
+pub use blocking::blocking;
 pub use finish::{finish, FinishScope};
 pub use handle::{CompletionPromise, TaskHandle};
 pub use metrics::{DetectionStats, RunMetrics};

@@ -63,9 +63,10 @@ impl RunMetrics {
     }
 
     /// Highest number of simultaneously alive worker threads the scheduler
-    /// reached (lifetime high-water mark, see [`steals`](Self::steals)) —
-    /// the §6.3 growth cost that steal-to-wait helping and the
-    /// blocked-aware heuristic exist to shrink.
+    /// reached (lifetime high-water mark, see [`steals`](Self::steals)).
+    /// The growth rule keeps it at the core count plus the workers that
+    /// were blocked at once in promise (or declared) waits; steal-to-wait
+    /// helping shrinks the blocked share.
     pub fn peak_threads(&self) -> usize {
         self.pool.peak_workers
     }

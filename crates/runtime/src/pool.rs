@@ -6,10 +6,14 @@
 //! general for promises because there is no a-priori bound on the number of
 //! tasks that can block simultaneously."*
 //!
-//! The [`WorkStealingScheduler`](crate::WorkStealingScheduler) implements
-//! that strategy.  This module holds the parts of it a caller configures or
-//! reads: [`PoolConfig`] (thread naming, keep-alive, stack size, eager
-//! workers, the exit hook) and [`PoolStats`].
+//! The [`WorkStealingScheduler`](crate::WorkStealingScheduler) keeps the
+//! guarantee that strategy exists for without spawning for merely busy
+//! threads: a task that finds no idle worker gets a new thread while fewer
+//! workers than cores are runnable, and every worker that blocks in a
+//! promise wait, or in a wait declared with [`blocking`](crate::blocking),
+//! is replaced at once.  This module holds the parts of it a caller
+//! configures or reads: [`PoolConfig`] (thread naming, keep-alive, stack
+//! size, eager workers, the exit hook) and [`PoolStats`].
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -72,9 +76,12 @@ pub struct PoolStats {
     pub current_workers: usize,
     /// Workers currently idle (parked waiting for work).
     pub idle_workers: usize,
-    /// Workers currently blocked inside a promise wait (reported through the
+    /// Workers currently blocked inside a promise wait or a wait declared
+    /// with [`blocking`](crate::blocking) (reported through the
     /// [`Executor::on_task_blocked`](promise_core::Executor::on_task_blocked)
-    /// blocking seam).
+    /// blocking seam).  The growth rule counts `current_workers −
+    /// blocked_workers` as runnable and starts workers only while that is
+    /// below the core count.
     pub blocked_workers: usize,
     /// Highest number of simultaneously alive workers.
     pub peak_workers: usize,

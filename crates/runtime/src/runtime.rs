@@ -141,7 +141,6 @@ pub struct ShutdownReport {
 pub struct RuntimeBuilder {
     policy: PolicyConfig,
     pool: PoolConfig,
-    blocked_aware_growth: bool,
     help: HelpConfig,
     chaos: Option<ChaosConfig>,
     event_log: bool,
@@ -154,7 +153,6 @@ impl Default for RuntimeBuilder {
         RuntimeBuilder {
             policy: PolicyConfig::verified(),
             pool: PoolConfig::default(),
-            blocked_aware_growth: false,
             help: HelpConfig::default(),
             chaos: None,
             event_log: false,
@@ -191,21 +189,6 @@ impl RuntimeBuilder {
     /// Replaces the whole policy configuration.
     pub fn policy(mut self, policy: PolicyConfig) -> Self {
         self.policy = policy;
-        self
-    }
-
-    /// Opt-in blocked-aware growth heuristic for the scheduler: grow a new
-    /// worker only when every live worker is blocked inside a promise wait
-    /// (`workers - blocked == 0`), instead of whenever a task is submitted
-    /// and no worker is idle (the paper's literal §6.3 rule).
-    ///
-    /// This keeps deep fork/join trees from over-spawning threads — merely
-    /// *busy* workers come back for the queue on their own — at the cost of
-    /// relying on the promise blocking hooks: a task that blocks by other
-    /// means (std channels, locks, I/O) is invisible to the heuristic.
-    /// Default: off.
-    pub fn blocked_aware_growth(mut self, enabled: bool) -> Self {
-        self.blocked_aware_growth = enabled;
         self
     }
 
@@ -327,7 +310,6 @@ impl RuntimeBuilder {
         let scheduler = WorkStealingScheduler::new(SchedulerConfig {
             base: pool_config,
             steal_order,
-            blocked_aware_growth: self.blocked_aware_growth,
             spawn_jitter,
         });
         let installed = ctx.set_executor(Arc::clone(&scheduler) as Arc<dyn Executor>);

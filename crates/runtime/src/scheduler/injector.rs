@@ -11,6 +11,11 @@
 //!
 //! A shared `len` counter gives workers a cheap is-there-anything-at-all
 //! probe so the common empty case costs one atomic load, not a lock sweep.
+//! Pushes raise it and probes read it `SeqCst`: it is the publishing half of
+//! the Dekker pairing the scheduler's growth rule relies on (see
+//! `SchedState::grow`), which the `SeqCst` counters of parking, blocking and
+//! retiring workers pair with.  On x86-64 and AArch64 this costs nothing
+//! over acquire/release.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -48,7 +53,7 @@ impl Injector {
         let shard = self.push_cursor.fetch_add(1, Ordering::Relaxed) & mask;
         // Count first so a concurrent `is_empty` probe can never miss a job
         // that is already visible in a shard.
-        self.len.fetch_add(1, Ordering::Release);
+        self.len.fetch_add(1, Ordering::SeqCst);
         self.shards[shard].lock().push_back(job);
     }
 
@@ -69,7 +74,7 @@ impl Injector {
         if closed.load(Ordering::SeqCst) {
             return Err(job);
         }
-        self.len.fetch_add(1, Ordering::Release);
+        self.len.fetch_add(1, Ordering::SeqCst);
         queue.push_back(job);
         Ok(())
     }
@@ -97,7 +102,7 @@ impl Injector {
         if closed.load(Ordering::SeqCst) {
             return Err(());
         }
-        self.len.fetch_add(jobs.len(), Ordering::Release);
+        self.len.fetch_add(jobs.len(), Ordering::SeqCst);
         queue.extend(jobs.drain(..));
         Ok(())
     }
@@ -140,7 +145,7 @@ impl Injector {
     /// a job that a concurrent `pop` is about to take; never reports empty
     /// while an unclaimed job is queued.
     pub(crate) fn is_empty(&self) -> bool {
-        self.len.load(Ordering::Acquire) == 0
+        self.len.load(Ordering::SeqCst) == 0
     }
 
     /// Total queued jobs (approximate under concurrency).

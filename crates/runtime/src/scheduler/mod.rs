@@ -1,10 +1,10 @@
 //! The sharded, work-stealing growing scheduler: the runtime's one
 //! scheduler.
 //!
-//! Its hot paths are contention-free, while it preserves the paper's §6.3
-//! execution strategy (*"spawn a new thread for a new task when all existing
-//! threads are in use"* — required because promises put no a-priori bound on
-//! how many tasks block simultaneously):
+//! Its hot paths are contention-free, while it keeps the guarantee behind
+//! the paper's §6.3 execution strategy (*"spawn a new thread for a new task
+//! when all existing threads are in use"* — required because promises put
+//! no a-priori bound on how many tasks block simultaneously):
 //!
 //! * **per-worker Chase–Lev deques** ([`deque`]): a task spawned from a
 //!   worker is pushed onto that worker's own deque with two atomic stores —
@@ -16,22 +16,31 @@
 //!   then steals the oldest task from a sibling — so tasks parked in the
 //!   deque of a *blocked* worker are picked up by everyone else.
 //!
-//! ## The grow-on-block invariant
+//! ## The growth rule and the waits it covers
 //!
 //! The paper's pool must guarantee: a submitted task never waits behind
-//! workers that are all busy or blocked.  Two triggers preserve this:
+//! workers that are all blocked.  A worker merely *busy* on a job comes
+//! back for the queue when the job returns, so it needs no replacement; a
+//! worker parked in a wait does not.  One rule serves both (`grow`, after
+//! the compensation rule of Lea's fork/join framework): when a job finds no
+//! idle worker, start workers until `P` are runnable — `current − blocked`
+//! reaches `P`, the machine's parallelism.  It fires at two points:
 //!
-//! 1. **at submission**: if no worker is idle when a task is enqueued, a new
-//!    worker is spawned;
-//! 2. **at blocking** (via the [`Executor`] blocking seam): when a worker
-//!    blocks inside a promise `get` while queued work exists and no worker
-//!    is idle, a replacement worker is spawned.  Without it two submissions
-//!    could both observe the same idle worker, which then took one task and
-//!    blocked on it, stranding the second task in the queue forever.
+//! 1. **at submission**, when no worker is parked to take the job;
+//! 2. **at blocking** (via the [`Executor`] blocking seam): a worker about to
+//!    park hands its deque to the injector and, with queued work and no
+//!    idle worker, grows — its own block has just made room under `P`.
 //!
 //! Blocked workers are counted through [`Executor::on_task_blocked`] /
-//! [`on_task_unblocked`](Executor::on_task_unblocked), which `Promise::get`
-//! invokes around every park; the count is surfaced in [`PoolStats`].
+//! [`on_task_unblocked`](Executor::on_task_unblocked).  **Covered waits:**
+//! every promise wait (`Promise::get` brackets each park with the hooks, and
+//! the runtime's joins, finish scopes, channels and barriers all wait on
+//! promises), and any wait the caller declares by bracketing it with the
+//! same hooks — `promise_runtime::blocking`.  A task that blocks on
+//! anything else (a std channel, lock or condvar, I/O) without declaring it
+//! holds one of the `P` runnable places until it returns; with `P` such
+//! tasks the queue waits for one of them.  The count is surfaced in
+//! [`PoolStats`].
 //!
 //! ## What a search and a wake-up cost
 //!
@@ -49,13 +58,13 @@
 //!   deques actually inspected.
 //! * **One searcher at a time for worker-local pushes.**  `searching`
 //!   counts the workers that consumed a wake-up token and have not found a
-//!   job yet.  A local push (with some sibling parked, so trigger 1 does
-//!   not fire) signals nobody while a token is outstanding or a searcher is
-//!   counted: that searcher's sweep starts, or its re-check runs, after
-//!   the push.  A counted searcher that finds a job and was the last one
-//!   passes the baton — it wakes one more sibling if some worker's deque
-//!   still holds work — so parallelism ramps up one wake at a time instead
-//!   of one futex wake per spawn.  Injector jobs do not count: each was
+//!   job yet.  A local push (with some sibling parked, so the submission
+//!   trigger does not fire) signals nobody while a token is outstanding or
+//!   a searcher is counted: that searcher's sweep starts, or its re-check
+//!   runs, after the push.  A counted searcher that finds a job and was the
+//!   last one passes the baton — it wakes one more sibling if some worker's
+//!   deque still holds work — so parallelism ramps up one wake at a time
+//!   instead of one futex wake per spawn.  Injector jobs do not count: each was
 //!   signalled for when it was pushed, and a second wake per job sends a
 //!   root fan-out of tiny jobs through the whole parked pool.  A counted
 //!   searcher that finds nothing leaves the count *before* re-checking the
@@ -71,10 +80,11 @@
 //!   A skipped signal costs overlap and never progress: the pushing worker
 //!   stays the job's searcher — it pops its own deque LIFO when its task
 //!   returns or helps at a join, and hands the deque to the injector (with
-//!   trigger 2) when it blocks.  External submissions, blocked-worker
-//!   handoffs and both growth triggers signal exactly as before.
+//!   the blocking trigger) when it blocks.  External submissions,
+//!   blocked-worker handoffs and both growth triggers signal exactly as
+//!   before.
 //!
-//! ## Steal-to-wait helping and why it preserves grow-on-block
+//! ## Steal-to-wait helping and why it preserves the growth rule
 //!
 //! A worker whose task blocks in a promise `get` does not park right away:
 //! the wait loop (see `promise_core::helping`) first calls
@@ -82,13 +92,13 @@
 //! (LIFO: the just-spawned child a fork-joining parent most often waits
 //! for), then the injector, then a steal sweep — and re-checks the awaited
 //! cell between jobs.  The §6.3 invariant ("a runnable task never waits
-//! behind workers that are all busy or blocked") is preserved *by
+//! behind workers that are all blocked") is preserved *by
 //! construction*:
 //!
-//! * the worker only actually **parks** — entering `on_task_blocked`,
-//!   trigger 2 above, which hands off its deque and grows the pool — once
-//!   `try_help` found no runnable job anywhere, i.e. exactly when parking
-//!   strands nothing;
+//! * the worker only actually **parks** — entering `on_task_blocked`, the
+//!   blocking trigger above, which hands off its deque and grows the pool —
+//!   once `try_help` found no runnable job anywhere, i.e. exactly when
+//!   parking strands nothing;
 //! * a **helped task that itself blocks** re-enters the same wait loop: it
 //!   helps again if the nesting bound allows, and otherwise takes the
 //!   ordinary park path, firing `on_task_blocked` like any blocked task.
@@ -110,6 +120,7 @@ mod injector;
 
 use std::cell::Cell;
 use std::collections::VecDeque;
+use std::num::NonZeroUsize;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{fence, AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -157,20 +168,6 @@ pub struct SchedulerConfig {
     /// Order in which a searching worker visits sibling deques when
     /// stealing (see [`StealOrder`]).
     pub steal_order: StealOrder,
-    /// Opt-in growth heuristic: grow only when **every** live worker is
-    /// blocked (`workers - blocked == 0`) instead of whenever no worker is
-    /// idle (the paper's literal §6.3 rule, the default).
-    ///
-    /// The literal rule over-spawns on deep fork/join trees: each spawn
-    /// finds all workers *busy* (not blocked) and starts a thread that the
-    /// busy workers would have made redundant moments later.  The heuristic
-    /// trusts runnable workers to come back for the queue and relies on the
-    /// promise blocking hooks for recovery: the moment the last runnable
-    /// worker blocks, its own `on_task_blocked` re-evaluates the condition
-    /// and grows.  **Caveat:** a worker that blocks outside the promise
-    /// hooks (std channels, locks, I/O) is invisible to the heuristic, which
-    /// is why it is opt-in.
-    pub blocked_aware_growth: bool,
     /// Chaos spawn-order scrambling seed (`None` = off, the default): when
     /// set, roughly half of all worker-local submissions — chosen by a
     /// seeded per-thread RNG — are diverted from the worker's LIFO deque to
@@ -184,7 +181,6 @@ impl Default for SchedulerConfig {
         SchedulerConfig {
             base: PoolConfig::default(),
             steal_order: StealOrder::Sequential,
-            blocked_aware_growth: false,
             spawn_jitter: None,
         }
     }
@@ -336,8 +332,8 @@ struct ParkState {
     shutdown: bool,
 }
 
-/// How a just-enqueued job gets a searcher assigned.  Both variants obey
-/// the §6.3 submission rule (no idle worker → spawn a fresh thread); they
+/// How a just-enqueued job gets a searcher assigned.  Both variants apply
+/// the growth rule when no worker is idle (see `SchedState::grow`); they
 /// differ only in how eagerly an *idle* sibling is signalled.
 #[derive(Copy, Clone, PartialEq)]
 enum WakePolicy {
@@ -417,6 +413,9 @@ struct SlotTable {
 
 struct SchedState {
     config: SchedulerConfig,
+    /// `P` of the growth rule: the machine's parallelism, read once at
+    /// construction (see [`grow`](Self::grow)).
+    parallelism: usize,
     injector: injector::Injector,
     /// The worker table: searchers read it, spawn and retire write it.
     slots: RwLock<SlotTable>,
@@ -498,6 +497,7 @@ impl WorkStealingScheduler {
             batch_jobs: AtomicUsize::new(0),
             panics: AtomicUsize::new(0),
             shutdown: AtomicBool::new(false),
+            parallelism: std::thread::available_parallelism().map_or(1, NonZeroUsize::get),
             config,
         });
         for _ in 0..state.config.base.initial_workers {
@@ -556,13 +556,11 @@ impl WorkStealingScheduler {
     /// parent reaches for first), the rest go to one injector shard under a
     /// single lock.  Wake-up tokens for the whole group are granted under
     /// one park-lock acquisition with exactly the per-job semantics of
-    /// [`submit`](Self::submit) in a loop: if no worker is parked, §6.3
-    /// growth spawns a thread per chained job (each may block); if some
-    /// are parked, each gets at most one token and the remaining jobs ride
-    /// on those workers' owed full searches (the same cap `grant_wakeups`
-    /// applies per submission — coverage of a worker that then blocks
-    /// *outside* the promise hooks is a documented limitation of both
-    /// paths, not a batching regression).
+    /// [`submit`](Self::submit) in a loop: if no worker is parked, the
+    /// growth rule starts up to a thread per chained job, until `P` workers
+    /// are runnable; if some are parked, each gets at most one token and
+    /// the remaining jobs ride on those workers' owed full searches (the
+    /// same cap `grant_wakeups` applies per submission).
     ///
     /// Returns the *unaccepted* jobs back if the scheduler has shut down
     /// (jobs already placed before the refusal point will run or be settled
@@ -706,7 +704,7 @@ impl WorkStealingScheduler {
     /// will simply sit parked until the deadline.
     pub fn try_join_workers(&self, deadline: Instant) -> bool {
         loop {
-            // Workers registered concurrently (grow-on-block during the
+            // Workers registered concurrently (growth at blocking during the
             // drain) are picked up by the next pass.
             let (_, running) = self.state.join_handles(JoinHandle::is_finished);
             if running == 0 {
@@ -783,7 +781,7 @@ impl WorkStealingScheduler {
     pub fn shutdown(&self) {
         let state = &self.state;
         self.begin_shutdown();
-        // Workers spawned during the drain (grow-on-block) register their
+        // Workers spawned during the drain (growth at blocking) register their
         // join handles concurrently; keep joining until a pass finds none.
         while state.join_handles(|_| true).0 > 0 {}
         // A submission that raced the shutdown flag may have left jobs in
@@ -881,14 +879,13 @@ impl SchedState {
         if policy == WakePolicy::NudgeIdle {
             // Pusher half of the Dekker pairing (module docs): the push is
             // ordered before the loads below.  External submissions are
-            // ordered by the injector's shard lock and always signal.
+            // ordered by the `SeqCst` RMW on the injector's count (see
+            // `grow`) and always signal an idle worker.
             fence(Ordering::SeqCst);
         }
         if self.idle.load(Ordering::SeqCst) == 0 {
-            // §6.3: no idle worker — the task must get a fresh thread.
-            // This applies to worker-local pushes too: the pushing worker
-            // may block by means outside the promise hook (std channels,
-            // locks, I/O), and then nobody would ever drain its deque.
+            // No idle worker: the growth rule decides whether the job gets a
+            // fresh thread or waits for a runnable one.
             self.grow(1);
             return;
         }
@@ -936,32 +933,31 @@ impl SchedState {
     }
 
     /// Grows the pool for `jobs` just-enqueued jobs that found no idle
-    /// worker, honouring the configured growth policy.
+    /// worker: starts `min(jobs, P − (current − blocked))` workers, `P`
+    /// being the machine's parallelism.  No worker is started while `P`
+    /// workers are runnable — they come back for the queue when their jobs
+    /// return — and every worker that parks in a promise wait (or a wait
+    /// declared through [`Executor::on_task_blocked`]) is replaced at once,
+    /// because its own `on_task_blocked` comes back here.
     ///
-    /// *Literal §6.3* (default): one fresh thread per job — each job may
-    /// block, so each needs its own potential worker.
-    ///
-    /// *Blocked-aware* (opt-in): grow only when every live worker is blocked
-    /// inside a promise wait; one thread then suffices to restore progress
-    /// (it re-triggers growth the moment it blocks too).  The decision is
-    /// race-free against a runnable worker blocking concurrently: `blocked`
-    /// is bumped with a SeqCst RMW *before* `on_task_blocked` re-checks the
-    /// queues, and the queue non-empty markers are published (SeqCst RMW /
-    /// shard lock) *before* this check loads `blocked` — so either this
-    /// caller observes the worker as blocked and spawns, or that worker
-    /// observes the queued job and grows on its own.
+    /// **Why no job is stranded** (Dekker's pairing, every access `SeqCst`).
+    /// The caller published the job — an RMW on the deque index bit or on
+    /// the injector's count — *before* it loaded `idle`, `current` and
+    /// `blocked`.  A worker can make room for the job afterwards only by
+    /// parking (`idle` up), blocking (`blocked` up) or retiring (`current`
+    /// down), and each does that RMW *before* it re-checks the queues (in
+    /// `worker_loop`, `note_blocked` and after the slot is freed).  So
+    /// either the caller's loads see the move and it grows or signals, or
+    /// the worker's re-check sees the job and it runs it or grows.  A move
+    /// of `blocked` or `current` the other way only shrinks the room, so
+    /// the one pairing covers every interleaving.
     fn grow(self: &Arc<Self>, jobs: usize) {
-        if self.config.blocked_aware_growth {
-            let current = self.current.load(Ordering::SeqCst);
-            let blocked = self.blocked.load(Ordering::SeqCst);
-            if current > blocked {
-                return;
-            }
+        let runnable = self
+            .current
+            .load(Ordering::SeqCst)
+            .saturating_sub(self.blocked.load(Ordering::SeqCst));
+        for _ in 0..jobs.min(self.parallelism.saturating_sub(runnable)) {
             self.spawn_worker();
-        } else {
-            for _ in 0..jobs {
-                self.spawn_worker();
-            }
         }
     }
 
@@ -1227,7 +1223,7 @@ impl SchedState {
             moved += 1;
         }
         if moved > 0 {
-            // Trigger 2 of the grow-on-block invariant for the handed-off
+            // The blocking trigger of the growth rule for the handed-off
             // jobs, batched under one park-lock acquisition.
             self.signal_many(moved);
         } else if self.has_pending_work() {
@@ -1243,7 +1239,7 @@ impl SchedState {
 
     /// Assigns searchers to `jobs` just-enqueued jobs: parked siblings are
     /// woken (see [`grant_wakeups`](Self::grant_wakeups)), and if nobody is
-    /// parked a worker is spawned per job (§6.3 — each may block).
+    /// parked the growth rule applies (see [`grow`](Self::grow)).
     fn signal_many(self: &Arc<Self>, jobs: usize) {
         let mut st = self.park.lock();
         if st.idle == 0 {
@@ -1370,17 +1366,13 @@ impl SchedState {
             }
             st.idle += 1;
             self.idle.fetch_add(1, Ordering::SeqCst);
-            // Blocked-aware mode needs a second queue re-check *after* the
-            // idle increment: a submitter that loaded `idle == 0` just
-            // before it skips both the wake and (when a runnable worker
-            // exists — us, mid-park) the spawn.  The SeqCst orderings give
-            // the Dekker guarantee: either the submitter's `idle` load sees
-            // our increment (and hands out a wake token under this lock),
-            // or this check sees its enqueued job.  The literal rule needs
-            // no re-check — it spawns unconditionally on idle == 0.
-            if self.config.blocked_aware_growth
-                && (!self.injector.is_empty() || self.any_stealable(idx))
-            {
+            // A second queue re-check *after* the idle increment: a
+            // submitter that loaded `idle == 0` just before it skips both
+            // the wake and (counting us, mid-park, as runnable) the spawn.
+            // Either its `idle` load saw our increment (and it hands out a
+            // wake token under this lock), or this check sees its job (see
+            // `grow`).
+            if !self.injector.is_empty() || self.any_stealable(idx) {
                 st.idle -= 1;
                 self.idle.fetch_sub(1, Ordering::SeqCst);
                 continue;
@@ -1427,21 +1419,13 @@ impl SchedState {
             table.free.push_back(idx);
             self.current.fetch_sub(1, Ordering::SeqCst);
         }
-        // Close the blocked-aware retire race: a submission that raced this
-        // retirement may have loaded `current` *before* the decrement above,
-        // counted this worker as runnable, and skipped its spawn — and once
-        // this thread is gone nothing would re-evaluate, stranding the job
-        // forever.  Re-checking after the SeqCst decrement restores the
-        // Dekker pairing: either the submitter's `current` load saw the
-        // decrement (and spawned), or this check sees its enqueued job and
-        // grows on its behalf.  (`grow` itself refuses while another
-        // runnable worker exists, which is then that worker's job to cover,
-        // and `spawn_worker` refuses after shutdown, whose final sweep
-        // settles leftovers.)
-        if self.config.blocked_aware_growth
-            && self.has_pending_work()
-            && self.idle.load(Ordering::SeqCst) == 0
-        {
+        // The retire race: a submission that loaded `current` *before* the
+        // decrement above counted this worker as runnable and may have
+        // skipped its spawn; once this thread is gone nothing would
+        // re-evaluate.  This re-check is the retiring half of the pairing
+        // at `grow`.  (`spawn_worker` refuses after shutdown, whose final
+        // sweep settles leftovers.)
+        if self.has_pending_work() && self.idle.load(Ordering::SeqCst) == 0 {
             self.grow(1);
         }
     }
@@ -1573,6 +1557,8 @@ mod tests {
         assert_eq!(got, (0..32).collect::<Vec<_>>());
     }
 
+    /// Each job declares its wait through the blocking hooks, as a promise
+    /// `get` does, so every blocked worker is replaced.
     #[test]
     fn grows_when_all_workers_block() {
         let sched = WorkStealingScheduler::new(small_config());
@@ -1583,11 +1569,15 @@ mod tests {
         for _ in 0..n {
             let started_tx = started_tx.clone();
             let release_rx = Arc::clone(&release_rx);
+            let exec = Arc::clone(&sched);
             sched
                 .submit(Job::new(move || {
                     started_tx.send(()).unwrap();
+                    exec.on_task_blocked();
                     let guard = release_rx.lock();
                     let _ = guard.recv_timeout(Duration::from_secs(10));
+                    drop(guard);
+                    exec.on_task_unblocked();
                 }))
                 .ok()
                 .unwrap();
@@ -1641,14 +1631,13 @@ mod tests {
     /// The search-cost satellite: a search inspects the deques the index
     /// marks, not the worker table.  512 workers sit in jobs that wait on a
     /// latch; one of them has pushed a job onto its own deque first.  The
-    /// blocked-aware growth rule keeps the pool from answering that push
-    /// with a thread (every worker is busy, none is promise-blocked), so
-    /// the job stays put for the one search this test makes itself.
+    /// growth rule keeps the pool from answering that push with a thread
+    /// (every worker is busy, none is promise-blocked), so the job stays put
+    /// for the one search this test makes itself.
     #[test]
     fn a_search_probes_only_the_marked_deques() {
         const WORKERS: usize = 512;
         let sched = WorkStealingScheduler::new(SchedulerConfig {
-            blocked_aware_growth: true,
             base: PoolConfig {
                 initial_workers: WORKERS,
                 keep_alive: Duration::from_secs(30),

@@ -4,8 +4,9 @@
 //!
 //! Like the other stress suites, `STRESS_SEED` varies the schedule between
 //! CI jobs and the echoed replay line reproduces any failure in one
-//! command.  The pool-accounting tests take `pool_serial` so concurrent
-//! tests in this binary cannot perturb the global job-pool counters.
+//! command.  Every test takes `pool_serial`: the pool-accounting tests read
+//! the global job-pool counters, which any runtime running beside them in
+//! this binary would shift.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -142,6 +143,7 @@ fn shutdown_under_load_returns_within_deadline_plus_quantum() {
 /// before the deadline, the report is clean, and nothing is dropped.
 #[test]
 fn quiet_runtime_shuts_down_clean_within_deadline() {
+    let _guard = pool_serial();
     let rt = Runtime::builder().initial_workers(2).build();
     rt.block_on(|| {
         let handles: Vec<_> = (0..64u64)
@@ -168,6 +170,7 @@ fn quiet_runtime_shuts_down_clean_within_deadline() {
 /// `gets_timed_out` counter must equal the observed timeouts exactly.
 #[test]
 fn timed_get_storm_settles_every_waiter_with_exact_accounting() {
+    let _guard = pool_serial();
     const ROUNDS: usize = 12;
     const WAITERS: usize = 16;
 
@@ -310,6 +313,7 @@ fn panics_holding_magazine_state_are_adopted_and_drained() {
 /// runtime doing only fast jobs raises none.
 #[test]
 fn watchdog_flags_a_wedged_worker_once_and_quiet_runs_not_at_all() {
+    let _guard = pool_serial();
     use promise_core::Alarm;
     use promise_runtime::WatchdogConfig;
 
@@ -387,45 +391,60 @@ fn watchdog_flags_a_wedged_worker_once_and_quiet_runs_not_at_all() {
     rt.shutdown();
 }
 
-/// The watchdog blind spot for helped jobs is closed: with blocked-aware
-/// growth and the sole worker pinned inside a busy (not promise-blocked)
-/// job, the root's join is forced to run the wedged job *inline* via
-/// steal-to-wait helping on a non-worker thread — which used to be
-/// invisible to the watchdog.  The transient helper stamp makes it
-/// sampled like any worker, and the stall report says `helper`.
+/// The watchdog blind spot for helped jobs is closed: with one worker per
+/// core, each pinned inside a busy (not promise-blocked) job, the growth
+/// rule starts no further worker, so the root's join is forced to run the
+/// wedged job *inline* via steal-to-wait helping on a non-worker thread —
+/// which used to be invisible to the watchdog.  The transient helper stamp
+/// makes it sampled like any worker, and the stall report says `helper`.
 #[test]
 fn watchdog_flags_a_wedged_helped_job_on_the_root_thread() {
+    let _guard = pool_serial();
     use promise_core::Alarm;
     use promise_runtime::WatchdogConfig;
     use std::sync::mpsc;
 
+    let pins = std::thread::available_parallelism().map_or(1, |n| n.get());
+    // One eager worker per pin: a submission that finds a worker still
+    // owing a woken search rides on it, so a pool grown on demand could
+    // hand two pins to one worker, which would then never reach the second.
     let rt = Runtime::builder()
-        .initial_workers(1)
-        .blocked_aware_growth(true)
+        .initial_workers(pins)
         .watchdog(WatchdogConfig {
             stall_threshold: Duration::from_millis(150),
             poll_interval: Duration::from_millis(15),
         })
         .build();
     rt.block_on(|| {
-        // Pin the sole worker inside a busy job.  It blocks on a channel,
-        // not a promise, so blocked-aware growth spawns no replacement —
-        // the wedged job below can only run on the root thread, helped.
+        // Pin every worker the rule allows inside a busy job.  Each blocks
+        // on a channel, not a promise, and declares nothing, so the pool
+        // starts no replacement — the wedged job below can only run on the
+        // root thread, helped.
         let (started_tx, started_rx) = mpsc::channel();
-        let (release_tx, release_rx) = mpsc::channel::<()>();
-        let pin = spawn((), move || {
-            started_tx.send(()).unwrap();
-            let _ = release_rx.recv_timeout(Duration::from_secs(10));
-        });
-        started_rx
-            .recv_timeout(Duration::from_secs(5))
-            .expect("the pin job must start on the sole worker");
+        let pinned: Vec<_> = (0..pins)
+            .map(|_| {
+                let started_tx = started_tx.clone();
+                let (release_tx, release_rx) = mpsc::channel::<()>();
+                let pin = spawn((), move || {
+                    started_tx.send(()).unwrap();
+                    let _ = release_rx.recv_timeout(Duration::from_secs(10));
+                });
+                (release_tx, pin)
+            })
+            .collect();
+        for _ in 0..pins {
+            started_rx
+                .recv_timeout(Duration::from_secs(5))
+                .expect("every pin job must start on its own worker");
+        }
         let wedged = spawn_named("wedged-helped", (), || {
             std::thread::sleep(Duration::from_millis(600));
         });
         wedged.join().unwrap();
-        release_tx.send(()).unwrap();
-        pin.join().unwrap();
+        for (release_tx, pin) in pinned {
+            release_tx.send(()).unwrap();
+            pin.join().unwrap();
+        }
     })
     .unwrap();
     let alarms = rt.context().alarms();
@@ -436,9 +455,10 @@ fn watchdog_flags_a_wedged_helped_job_on_the_root_thread() {
             _ => None,
         })
         .collect();
-    // Two genuine stalls: the pin job holds the sole worker past the
-    // threshold (helper == false), and the wedged job runs helped on the
-    // root thread (helper == true) — the flag that used to be impossible.
+    // One genuine stall per pin job, each holding its worker past the
+    // threshold (helper == false), and one for the wedged job running helped
+    // on the root thread (helper == true) — the flag that used to be
+    // impossible.
     let helper_stalls: Vec<_> = stalls.iter().filter(|s| s.helper).collect();
     assert_eq!(
         helper_stalls.len(),
@@ -452,9 +472,13 @@ fn watchdog_flags_a_wedged_helped_job_on_the_root_thread() {
     );
     assert_eq!(
         stalls.len(),
-        2,
-        "expected the helper stall plus the pinned worker's: {alarms:?}"
+        pins + 1,
+        "expected the helper stall plus one per pinned worker: {alarms:?}"
     );
-    assert_eq!(alarms.len(), 2, "no other alarms expected: {alarms:?}");
+    assert_eq!(
+        alarms.len(),
+        pins + 1,
+        "no other alarms expected: {alarms:?}"
+    );
     rt.shutdown();
 }

@@ -17,7 +17,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use promise_core::Job;
+use promise_core::{Executor, Job};
 use promise_runtime::{Runtime, SchedulerConfig, WorkStealingScheduler};
 use promise_stats::{AllocStats, CountingAllocator};
 
@@ -74,15 +74,21 @@ impl Latch {
 }
 
 /// Live bytes per worker while `WORKERS` jobs hold one worker each on a
-/// std latch.  The scheduler starts a worker whenever a submission finds
-/// none idle, so each job gets a thread of its own.
+/// std latch.  Each job declares its wait through the blocking hooks, so the
+/// scheduler replaces every blocked worker and each job gets a thread of
+/// its own.
 fn bytes_per_parked_worker() -> usize {
     let sched = WorkStealingScheduler::new(SchedulerConfig::default());
     let latch = Arc::new(Latch::default());
     let before = live_bytes();
     for _ in 0..WORKERS {
-        let latch = Arc::clone(&latch);
-        assert!(sched.submit(Job::new(move || latch.wait())).is_ok());
+        let (latch, exec) = (Arc::clone(&latch), Arc::clone(&sched));
+        let job = Job::new(move || {
+            exec.on_task_blocked();
+            latch.wait();
+            exec.on_task_unblocked();
+        });
+        assert!(sched.submit(job).is_ok());
     }
     let deadline = Instant::now() + Duration::from_secs(60);
     while latch.arrived.load(Ordering::SeqCst) < WORKERS && Instant::now() < deadline {

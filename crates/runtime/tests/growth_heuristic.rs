@@ -1,29 +1,36 @@
-//! Tests for the opt-in blocked-aware growth heuristic
-//! (`RuntimeBuilder::blocked_aware_growth`): grow a worker only when every
-//! live worker is blocked inside a promise wait, instead of the paper's
-//! literal §6.3 rule (grow whenever a submission finds no idle worker).
+//! Tests for the growth rule: a submission that finds no idle worker starts
+//! one only while fewer than `P` workers are runnable (`current − blocked <
+//! P`, `P` the machine's parallelism), and a worker that blocks in a promise
+//! wait is replaced at once.
 //!
-//! Two properties matter:
+//! Three properties matter:
 //!
 //! * **no over-spawn**: on a deep fork/join tree — where workers are mostly
 //!   *busy*, and the only blocking is parents joining their children — the
 //!   pool must stay near the blocking depth instead of approaching the task
-//!   count;
+//!   count, and a root fan-out of tasks that never block stays at `P`;
+//! * **parallelism**: that fan-out still uses more than one worker when the
+//!   machine has more than one core;
 //! * **liveness**: when every worker really does block, the pool must still
 //!   grow (the §6.3 guarantee), because the promise hooks re-evaluate the
 //!   condition at each block.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
 use promise_core::{Promise, VerificationMode};
-use promise_runtime::{spawn, Runtime, RuntimeBuilder};
+use promise_runtime::{blocking, spawn, Runtime, RuntimeBuilder};
 
-fn blocked_aware_runtime() -> Runtime {
+fn unverified_runtime() -> Runtime {
     RuntimeBuilder::new()
         .verification(VerificationMode::Unverified)
-        .blocked_aware_growth(true)
         .worker_keep_alive(Duration::from_secs(5))
         .build()
+}
+
+fn parallelism() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
 /// Binary fork/join: each node spawns its left half, recurses into the right
@@ -49,21 +56,21 @@ fn forkjoin(depth: u32) -> u64 {
 #[test]
 fn deep_forkjoin_does_not_overspawn() {
     let depth = 6u32; // 63 spawned tasks
-    let rt = blocked_aware_runtime();
+    let rt = unverified_runtime();
     let sum = rt.block_on(|| forkjoin(depth)).unwrap();
     assert_eq!(sum, 1u64 << depth);
 
     let stats = rt.pool_stats();
     let tasks = (1usize << depth) - 1;
-    // The blocked-aware pool grows only while *every* worker is blocked, so
-    // it tracks the concurrently-blocked join frontier instead of the spawn
-    // rate.  On this box the literal §6.3 rule reaches ~60–120 threads for
-    // these 63 tasks (it spawns once per submission that finds the workers
-    // merely busy); the heuristic stays well under half the task count.
+    // The pool grows past `P` only for blocked workers, so it tracks the
+    // concurrently-blocked join frontier instead of the spawn rate.  A rule
+    // that spawns once per submission finding the workers merely busy
+    // reaches 60–120 threads for these 63 tasks on two cores; this one
+    // stays well under half the task count.
     let bound = tasks / 2 + 4;
     assert!(
         stats.peak_workers <= bound,
-        "blocked-aware growth must not track the spawn rate: peak {} > bound {} ({} tasks), {:?}",
+        "growth must not track the spawn rate: peak {} > bound {} ({} tasks), {:?}",
         stats.peak_workers,
         bound,
         tasks,
@@ -72,40 +79,74 @@ fn deep_forkjoin_does_not_overspawn() {
 }
 
 #[test]
-fn blocked_aware_never_spawns_more_than_literal_rule() {
+fn deep_forkjoin_starts_few_threads() {
     let depth = 6u32;
-    let run = |blocked_aware: bool| {
-        let rt = RuntimeBuilder::new()
-            .verification(VerificationMode::Unverified)
-            .blocked_aware_growth(blocked_aware)
-            .worker_keep_alive(Duration::from_secs(5))
-            .build();
+    let tasks = (1usize << depth) - 1;
+    let run = || {
+        let rt = unverified_runtime();
         let sum = rt.block_on(|| forkjoin(depth)).unwrap();
         assert_eq!(sum, 1u64 << depth);
         rt.pool_stats().threads_started
     };
-    // Medians over a few runs: thread counts jitter with scheduling.
-    let median = |f: &dyn Fn() -> usize| {
-        let mut xs: Vec<usize> = (0..3).map(|_| f()).collect();
-        xs.sort();
-        xs[1]
-    };
-    let aware = median(&|| run(true));
-    let literal = median(&|| run(false));
+    // Median over a few runs: thread counts jitter with scheduling.
+    let mut started: Vec<usize> = (0..3).map(|_| run()).collect();
+    started.sort();
+    let bound = tasks / 2 + 4;
     assert!(
-        aware <= literal,
-        "the heuristic must not start more threads than the literal rule \
-         (aware {aware} vs literal {literal})"
+        started[1] <= bound,
+        "median threads started {} > bound {bound} ({tasks} tasks), runs {started:?}",
+        started[1]
     );
 }
 
-/// Liveness: when all workers genuinely block on promises, the heuristic
-/// must still grow the pool — each `on_task_blocked` re-evaluates
-/// `workers - blocked == 0` and spawns the replacement.
+/// A CPU-bound fan-out from the root of tasks that never block: the pool
+/// grows to `P` workers and no further, since every worker stays runnable.
+#[test]
+fn cpu_bound_root_fanout_stays_within_the_core_count() {
+    let p = parallelism();
+    let rt = RuntimeBuilder::new()
+        .verification(VerificationMode::Unverified)
+        .initial_workers(0)
+        .worker_keep_alive(Duration::from_secs(5))
+        .build();
+    let sum = rt
+        .block_on(|| {
+            let handles: Vec<_> = (0..64u64)
+                .map(|i| {
+                    spawn((), move || {
+                        // About a millisecond of arithmetic per task.
+                        let until = Instant::now() + Duration::from_millis(1);
+                        let mut x = i;
+                        while Instant::now() < until {
+                            x = std::hint::black_box(x.wrapping_mul(31).wrapping_add(7));
+                        }
+                        std::hint::black_box(x);
+                        i
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).sum::<u64>()
+        })
+        .unwrap();
+    assert_eq!(sum, (0..64).sum::<u64>());
+    let stats = rt.pool_stats();
+    assert!(
+        stats.peak_workers <= p,
+        "non-blocking tasks need no more than {p} workers, saw {stats:?}"
+    );
+    assert!(
+        p == 1 || stats.peak_workers > 1,
+        "a CPU-bound fan-out on {p} cores must use more than one worker, saw {stats:?}"
+    );
+}
+
+/// Liveness: when all workers genuinely block on promises, the rule must
+/// still grow the pool — each `on_task_blocked` re-evaluates
+/// `current - blocked < P` and spawns the replacement.
 #[test]
 fn grows_when_every_worker_is_blocked() {
     let n = 8usize;
-    let rt = blocked_aware_runtime();
+    let rt = unverified_runtime();
     rt.block_on(|| {
         let gate = Promise::<u64>::new();
         let mut handles = Vec::new();
@@ -142,12 +183,56 @@ fn grows_when_every_worker_is_blocked() {
     );
 }
 
-/// Sanity: the knob leaves results and alarm behaviour untouched under full
+/// Liveness for waits outside promises: `4·P` tasks meet at a std barrier,
+/// which the scheduler cannot see, but each declares its wait with
+/// `blocking`, so every blocked worker is replaced and all of them arrive.
+#[test]
+fn declared_waits_at_a_std_barrier_all_arrive() {
+    let tasks = 4 * parallelism();
+    let rt = unverified_runtime();
+    let barrier = Arc::new(Barrier::new(tasks));
+    let passed = Arc::new(AtomicUsize::new(0));
+    let all_passed = rt
+        .block_on(|| {
+            let handles: Vec<_> = (0..tasks)
+                .map(|_| {
+                    let (barrier, passed) = (Arc::clone(&barrier), Arc::clone(&passed));
+                    spawn((), move || {
+                        blocking(|| barrier.wait());
+                        passed.fetch_add(1, Ordering::SeqCst);
+                    })
+                })
+                .collect();
+            let deadline = Instant::now() + Duration::from_secs(30);
+            while passed.load(Ordering::SeqCst) < tasks && Instant::now() < deadline {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            let all_passed = passed.load(Ordering::SeqCst) == tasks;
+            if all_passed {
+                for h in handles {
+                    h.join().unwrap();
+                }
+            }
+            all_passed
+        })
+        .unwrap();
+    if !all_passed {
+        // Workers still wait at the barrier; dropping the runtime would
+        // join them forever.
+        std::mem::forget(rt);
+    }
+    assert!(
+        all_passed,
+        "{} of {tasks} tasks passed the barrier",
+        passed.load(Ordering::SeqCst)
+    );
+}
+
+/// Sanity: the rule leaves results and alarm behaviour untouched under full
 /// verification (ownership transfers, exit checks, completion promises).
 #[test]
 fn verified_forkjoin_still_correct_under_heuristic() {
     let rt = RuntimeBuilder::new()
-        .blocked_aware_growth(true)
         .worker_keep_alive(Duration::from_secs(5))
         .build();
     let sum = rt
@@ -175,7 +260,7 @@ fn verified_forkjoin_still_correct_under_heuristic() {
 
 /// Regression: a submission racing the last worker's retirement must never
 /// be stranded.  With a tiny keep-alive the pool's only worker retires
-/// between every burst; a buggy blocked-aware `grow` that counts the
+/// between every burst; a buggy `grow` that counts the
 /// retiring worker as runnable would skip the spawn and leave the job (and
 /// this `get`) hanging forever — the retire path re-checks for pending work
 /// after decrementing the worker count to close that window.
@@ -183,7 +268,6 @@ fn verified_forkjoin_still_correct_under_heuristic() {
 fn submissions_racing_worker_retirement_are_never_stranded() {
     let rt = RuntimeBuilder::new()
         .verification(VerificationMode::Unverified)
-        .blocked_aware_growth(true)
         .worker_keep_alive(Duration::from_millis(2))
         .build();
     rt.block_on(|| {
@@ -208,12 +292,12 @@ fn submissions_racing_worker_retirement_are_never_stranded() {
     .unwrap();
 }
 
-/// The heuristic must also not wedge a chain where each task blocks on the
-/// next task's promise (the worst case for conservative growth).
+/// The rule must also not wedge a chain where each task blocks on the next
+/// task's promise (the worst case for conservative growth).
 #[test]
 fn blocked_chain_completes_under_heuristic() {
     let n = 24usize;
-    let rt = blocked_aware_runtime();
+    let rt = unverified_runtime();
     let head = rt
         .block_on(|| {
             let promises: Vec<Promise<u64>> = (0..n).map(|_| Promise::new()).collect();

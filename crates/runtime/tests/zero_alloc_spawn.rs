@@ -49,13 +49,11 @@ fn runtime() -> Runtime {
         // Workers must not retire (and respawn) mid-measurement: thread
         // churn allocates stacks and names.
         .worker_keep_alive(std::time::Duration::from_secs(300))
-        // Growth is a policy decision to add *threads*, which allocates by
-        // nature and fires spuriously under CPU contention with the literal
-        // §6.3 rule (a transient idle==0 read at submission).  The
-        // blocked-aware heuristic grows only when every worker is actually
-        // blocked — never, for these trivial bodies — so the measurement
-        // isolates the per-spawn path itself.
-        .blocked_aware_growth(true)
+        // Growth adds *threads*, which allocates by nature.  The growth
+        // rule starts a worker only while fewer than one per core are
+        // runnable, or for a blocked one — at most a few times for these
+        // trivial bodies, and never once the pool has settled — so the
+        // measurement isolates the per-spawn path itself.
         .build()
 }
 

@@ -49,7 +49,6 @@ fn runtime(mode: VerificationMode) -> Runtime {
         .initial_workers(2)
         // Thread churn allocates stacks and names; see `zero_alloc_spawn`.
         .worker_keep_alive(std::time::Duration::from_secs(300))
-        .blocked_aware_growth(true)
         .build()
 }
 
