@@ -9,8 +9,6 @@
 //! * `cargo run -p promise-bench --release --bin figure1` — **Figure 1**:
 //!   per-benchmark mean execution time with a 95 % confidence interval for
 //!   the baseline and verified configurations (text chart + CSV).
-//! * `cargo run -p promise-bench --release --bin ablation` — the §6.2 / §6.3
-//!   design-choice ablations (ledger representation, detection level).
 //! * `cargo bench -p promise-bench` — Criterion microbenchmarks: per-workload
 //!   baseline-vs-verified timing and the detector's chain-length sweep that
 //!   explains the Sieve outlier.

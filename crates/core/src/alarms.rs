@@ -1,10 +1,9 @@
 //! A lock-free, append-only alarm sink.
 //!
 //! Every deadlock / omitted-set alarm a [`Context`](crate::Context) records
-//! lands here.  Alarms are rare in correct programs, but the *bug-hunting*
-//! configurations that keep running after an alarm
-//! (`OmittedSetAction::CompleteAndReport`, the default) can record them from
-//! many workers at once, and observability calls (`Context::alarms`,
+//! lands here.  Alarms are rare in correct programs, but a buggy program
+//! keeps running after an alarm (an omitted set's promises are completed
+//! exceptionally, §6.2), so it can record them from many workers at once, and observability calls (`Context::alarms`,
 //! `alarm_count`) must not block recorders — a lock here would sit inside
 //! what is otherwise a lock-free verification data plane.
 //!

@@ -1,7 +1,7 @@
 //! The verification context shared by all tasks and promises of one runtime.
 //!
 //! A [`Context`] owns the two slot arenas that hold the concurrently read
-//! `owner` / `waitingOn` state, the policy configuration, the event counters
+//! `owner` / `waitingOn` state, the verification mode, the event counters
 //! and the alarm log.  A task runtime (the `promise-runtime` crate) creates
 //! one context, installs itself as the context's [`Executor`], and registers
 //! every worker thread's current task against it; promises created inside
@@ -20,7 +20,7 @@ use crate::error::{DeadlockCycle, OmittedSetReport};
 use crate::events::EventLog;
 use crate::ids::{PromiseId, TaskId};
 use crate::job::Job;
-use crate::policy::PolicyConfig;
+use crate::policy::VerificationMode;
 use crate::slots::{PromiseSlot, TaskSlot};
 use crate::task;
 
@@ -193,7 +193,7 @@ impl std::fmt::Display for StallReport {
 
 /// What creating and submitting a task writes and reads, on a cache line of
 /// its own: the id counters are bumped on every task / promise creation, so
-/// the read-mostly fields every operation loads (`config`, `chaos`,
+/// the read-mostly fields every operation loads (`mode`, `chaos`,
 /// `events`) must not share their line, and a spawn reads the executor right
 /// after taking its ids, so it rides along.
 struct SpawnLine {
@@ -204,7 +204,7 @@ struct SpawnLine {
 
 /// Shared state for one verified (or unverified) promise runtime.
 pub struct Context {
-    config: PolicyConfig,
+    mode: VerificationMode,
     pub(crate) tasks: SlotArena<TaskSlot>,
     pub(crate) promises: SlotArena<PromiseSlot>,
     counters: Counters,
@@ -233,9 +233,9 @@ pub struct Context {
 }
 
 impl Context {
-    /// Creates a new context with the given policy configuration.
-    pub fn new(config: PolicyConfig) -> Arc<Context> {
-        Context::new_instrumented(config, None, false)
+    /// Creates a new context with the given verification mode.
+    pub fn new(mode: VerificationMode) -> Arc<Context> {
+        Context::new_instrumented(mode, None, false)
     }
 
     /// Creates a context with optional chaos fault injection and event
@@ -244,12 +244,12 @@ impl Context {
     /// context's lifetime; when absent their per-operation hooks reduce to a
     /// `None` check.
     pub fn new_instrumented(
-        config: PolicyConfig,
+        mode: VerificationMode,
         chaos: Option<ChaosConfig>,
         event_log: bool,
     ) -> Arc<Context> {
         Arc::new(Context {
-            config,
+            mode,
             tasks: SlotArena::new(),
             promises: SlotArena::new(),
             counters: Counters::new(),
@@ -271,17 +271,18 @@ impl Context {
 
     /// Creates a context with the default (fully verified) configuration.
     pub fn new_verified() -> Arc<Context> {
-        Context::new(PolicyConfig::verified())
+        Context::new(VerificationMode::Full)
     }
 
     /// Creates a context with the unverified baseline configuration.
     pub fn new_unverified() -> Arc<Context> {
-        Context::new(PolicyConfig::unverified())
+        Context::new(VerificationMode::Unverified)
     }
 
-    /// The policy configuration this context enforces.
-    pub fn config(&self) -> &PolicyConfig {
-        &self.config
+    /// The verification mode this context enforces.
+    #[inline]
+    pub fn mode(&self) -> VerificationMode {
+        self.mode
     }
 
     /// The event counters of this context.
@@ -510,7 +511,7 @@ impl Context {
 impl std::fmt::Debug for Context {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Context")
-            .field("mode", &self.config.mode)
+            .field("mode", &self.mode)
             .field("live_tasks", &self.live_tasks())
             .field("live_promises", &self.live_promises())
             .field("alarms", &self.alarm_count())
@@ -560,7 +561,6 @@ mod tests {
             task: TaskId(2),
             task_name: None,
             promises: vec![],
-            count: 1,
         });
         ctx.record_alarm(Alarm::OmittedSet(report));
         assert_eq!(ctx.alarm_count(), 2);

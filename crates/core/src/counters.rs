@@ -2,8 +2,8 @@
 //!
 //! Table 1 of the paper reports, per benchmark, the total number of tasks and
 //! the average rates of `get` and `set` operations per millisecond.  These
-//! counters collect exactly those totals (plus a few more that the ablation
-//! benches use).  They are maintained in *both* the baseline and the verified
+//! counters collect exactly those totals (plus a few more that the
+//! benchmarks report).  They are maintained in *both* the baseline and the verified
 //! configurations so that enabling them does not perturb the overhead
 //! comparison.
 //!

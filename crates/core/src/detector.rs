@@ -125,6 +125,10 @@ use crate::ids::{PromiseId, TaskId};
 use crate::name::Name;
 use crate::refs::PackedRef;
 
+/// Upper bound on one traversal's length, as a multiple of the number of live
+/// tasks (see the bound in [`verify_and_mark`]).
+const MAX_TRAVERSAL_FACTOR: usize = 2;
+
 /// The inputs of one detector run: the current task (`t0`) and the promise it
 /// is about to block on (`p0`).  The names are read only if a cycle is
 /// reported; `p0_name` is borrowed because all the cells of a channel share
@@ -202,9 +206,7 @@ pub(crate) fn verify_and_mark(
     // the completing task still raises the alarm; see the discussion after
     // Lemma 5.5).  Bounding the traversal by the number of live tasks makes
     // such a walk commit to the blocking wait instead, which is always safe.
-    let cap = ctx
-        .config()
-        .max_traversal_factor
+    let cap = MAX_TRAVERSAL_FACTOR
         .saturating_mul(ctx.tasks.live())
         .saturating_add(16);
 
@@ -334,7 +336,6 @@ fn collect_cycle(ctx: &Context, subject: &DetectionSubject<'_>, cap: usize) -> V
 mod tests {
     use super::*;
     use crate::error::PromiseError;
-    use crate::policy::PolicyConfig;
     use crate::promise::Promise;
 
     /// Builds a raw task cell directly in the arena (bypassing the TLS
@@ -508,10 +509,7 @@ mod tests {
         // A cycle exists between t1 and t2.  A third task t0 waits on a
         // promise owned by t1; its traversal enters the foreign cycle and
         // must terminate (bounded) without alarming.
-        let ctx = Context::new(PolicyConfig {
-            max_traversal_factor: 2,
-            ..PolicyConfig::verified()
-        });
+        let ctx = Context::new_verified();
         let t0 = raw_task(&ctx, 1);
         let t1 = raw_task(&ctx, 2);
         let t2 = raw_task(&ctx, 3);

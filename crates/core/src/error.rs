@@ -118,12 +118,8 @@ pub struct OmittedSetReport {
     pub task: TaskId,
     /// Optional human-readable name of the offending task.
     pub task_name: Option<Arc<str>>,
-    /// The promises it still owned.  Empty only in
-    /// [`LedgerMode::CountOnly`](crate::LedgerMode::CountOnly), in which case
-    /// `count` still reports how many there were.
+    /// The promises it still owned.
     pub promises: Vec<AbandonedPromise>,
-    /// Number of abandoned promises (always ≥ `promises.len()`).
-    pub count: usize,
 }
 
 impl fmt::Display for OmittedSetReport {
@@ -136,7 +132,7 @@ impl fmt::Display for OmittedSetReport {
         write!(
             f,
             "omitted set: {name} terminated while still owning {} unfulfilled promise(s)",
-            self.count
+            self.promises.len()
         )?;
         if !self.promises.is_empty() {
             write!(f, ": ")?;
@@ -353,7 +349,6 @@ mod tests {
                 promise: PromiseId(9),
                 promise_name: Some(Arc::from("checksum")),
             }],
-            count: 1,
         };
         let s = r.to_string();
         assert!(s.contains("downloader"));
@@ -371,7 +366,6 @@ mod tests {
             task: TaskId(1),
             task_name: None,
             promises: vec![],
-            count: 2,
         });
         assert!(PromiseError::DeadlockDetected(cycle).is_alarm());
         assert!(PromiseError::OmittedSet(report).is_alarm());

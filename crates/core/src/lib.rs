@@ -90,7 +90,7 @@ pub use helping::HelpConfig;
 pub use ids::{PromiseId, TaskId};
 pub use job::Job;
 pub use name::Name;
-pub use policy::{LedgerMode, OmittedSetAction, PolicyConfig, VerificationMode};
+pub use policy::VerificationMode;
 pub use pool_arc::{ErasedPromiseRef, PoolArc};
 pub use promise::{ErasedPromise, Promise};
 pub use smallvec::SmallVec;

@@ -52,7 +52,6 @@ use crate::context::Alarm;
 use crate::error::{AbandonedPromise, OmittedSetReport, PromiseError};
 use crate::events::EventKind;
 use crate::ids::{PromiseId, TaskId};
-use crate::policy::OmittedSetAction;
 use crate::pool_arc::ErasedPromiseRef;
 use crate::promise::ErasedPromise;
 use crate::refs::PackedRef;
@@ -92,7 +91,7 @@ pub fn prepare_task_named(
         // concurrent detector traversals and sibling operations.
         ctx.chaos_delay(ChaosSite::Transfer);
 
-        if !ctx.config().mode.tracks_ownership() {
+        if !ctx.mode().tracks_ownership() {
             // Baseline: no ownership state to maintain.
             let mut body = TaskBody::create(&ctx, name);
             // Cancellation is inherited per-subtree even in baseline mode.
@@ -154,7 +153,7 @@ pub fn prepare_task_named(
         // Lines 11–12: release the promises from the parent's ledger and
         // re-assign their owner to the child, then seed the child's ledger.
         for p in &unique {
-            parent.ledger.release(p.id());
+            parent.ledger.release();
             // SAFETY: the transfer list's handle keeps `p`'s occupancy live.
             unsafe {
                 ctx.promises.read_live(p.slot(), |s| {
@@ -237,7 +236,7 @@ pub(crate) fn on_set(promise: &dyn ErasedPromise) -> Result<(), PromiseError> {
                 .read_live(promise.slot(), |s| s.owner.store(0, Ordering::Release));
         }
         // Line 25: drop it from the task's owned ledger.
-        t.ledger.release(promise.id());
+        t.ledger.release();
         Ok(())
     })
     .unwrap_or_else(|| {
@@ -273,42 +272,30 @@ pub(crate) fn compute_obligations(body: &TaskBody, exclude: &[PromiseId]) -> Obl
     let ctx = &body.ctx;
     let mut abandoned_handles: Vec<ErasedPromiseRef> = Vec::new();
     let mut abandoned: Vec<AbandonedPromise> = Vec::new();
-    let mut count = 0usize;
 
-    match &body.ledger {
-        Ledger::Disabled => {}
-        Ledger::Count(n) => {
-            // Count-only mode cannot tell which promises are outstanding, nor
-            // exclude specific ones; the caller's exclusions are treated as an
-            // allowance.
-            count = n.saturating_sub(exclude.len());
-        }
-        Ledger::List { entries, .. } => {
-            for e in entries {
-                if exclude.contains(&e.id()) {
-                    continue;
-                }
-                // Lazy ledgers keep entries for promises that were since
-                // transferred away or fulfilled; only promises still owned by
-                // this task count (§6.2).
-                if task::is_live_obligation(e, &ctx.promises, body.slot) {
-                    abandoned.push(AbandonedPromise {
-                        promise: e.id(),
-                        promise_name: e.name(),
-                    });
-                    abandoned_handles.push(e.clone());
-                }
+    if let Ledger::List { entries, .. } = &body.ledger {
+        for e in entries {
+            if exclude.contains(&e.id()) {
+                continue;
             }
-            count = abandoned.len();
+            // The ledger keeps entries for promises that were since
+            // transferred away or fulfilled; only promises still owned by
+            // this task count (§6.2).
+            if task::is_live_obligation(e, &ctx.promises, body.slot) {
+                abandoned.push(AbandonedPromise {
+                    promise: e.id(),
+                    promise_name: e.name(),
+                });
+                abandoned_handles.push(e.clone());
+            }
         }
     }
 
-    let report = if count > 0 {
+    let report = if !abandoned.is_empty() {
         Some(Arc::new(OmittedSetReport {
             task: body.id,
             task_name: body.name.clone(),
             promises: abandoned,
-            count,
         }))
     } else {
         None
@@ -342,10 +329,10 @@ impl Obligations {
     }
 }
 
-/// Rule 3, second half: react according to [`OmittedSetAction`] (by default
-/// completing the abandoned promises exceptionally so their waiters observe
-/// the bug instead of hanging), and release the task's arena slot.  The alarm
-/// itself has already been recorded by [`Obligations::record`].
+/// Rule 3, second half: complete the abandoned promises exceptionally so
+/// their waiters observe the bug instead of hanging (§6.2), and release the
+/// task's arena slot.  The alarm itself has already been recorded by
+/// [`Obligations::record`].
 pub(crate) fn settle_obligations(
     mut body: TaskBody,
     obligations: Obligations,
@@ -365,25 +352,8 @@ pub(crate) fn settle_obligations(
     let report = obligations.report;
 
     if let Some(report) = &report {
-        match ctx.config().omitted_set {
-            OmittedSetAction::CompleteAndReport => {
-                for h in &obligations.handles {
-                    h.complete_abandoned(PromiseError::OmittedSet(Arc::clone(report)));
-                }
-            }
-            OmittedSetAction::ReportOnly => {}
-            OmittedSetAction::Panic => {
-                if !body.slot.is_null() {
-                    ctx.tasks.free(body.slot);
-                }
-                if std::thread::panicking() {
-                    // Avoid a double panic during unwinding; the alarm has
-                    // already been recorded.
-                } else {
-                    panic!("{report}");
-                }
-                return Some(Arc::clone(report));
-            }
+        for h in &obligations.handles {
+            h.complete_abandoned(PromiseError::OmittedSet(Arc::clone(report)));
         }
     }
 
@@ -454,7 +424,6 @@ pub(crate) fn finish_body_shutdown(body: TaskBody) {
 mod tests {
     use super::*;
     use crate::context::Context;
-    use crate::policy::{LedgerMode, PolicyConfig};
     use crate::promise::Promise;
 
     #[test]
@@ -614,7 +583,7 @@ mod tests {
         assert!(t3_res.is_none(), "t3 fulfilled everything it still owned");
         let report = t4_res.expect("t4 must be blamed for the omitted set");
         assert_eq!(report.task_name.as_deref(), Some("t4"));
-        assert_eq!(report.count, 1);
+        assert_eq!(report.promises.len(), 1);
         assert_eq!(report.promises[0].promise_name.as_deref(), Some("s"));
 
         assert_eq!(r.get().unwrap(), 1);
@@ -627,50 +596,8 @@ mod tests {
     }
 
     #[test]
-    fn report_only_action_leaves_promises_unfulfilled() {
-        let ctx =
-            Context::new(PolicyConfig::verified().with_omitted_set(OmittedSetAction::ReportOnly));
-        let _root = ctx.root_task(None);
-        let p = Promise::<i32>::new();
-        let prepared = prepare_task(Some("lazy"), vec![p.as_erased()]).unwrap();
-        let report = std::thread::spawn(move || {
-            let scope = prepared.activate();
-            scope.finish()
-        })
-        .join()
-        .unwrap();
-        assert!(report.is_some());
-        assert!(
-            !p.is_fulfilled(),
-            "ReportOnly must not complete the promise"
-        );
-        assert_eq!(ctx.alarm_count(), 1);
-    }
-
-    #[test]
-    fn count_only_ledger_reports_counts_without_names() {
-        let ctx = Context::new(PolicyConfig::verified().with_ledger(LedgerMode::CountOnly));
-        let _root = ctx.root_task(None);
-        let a = Promise::<i32>::new();
-        let b = Promise::<i32>::new();
-        let prepared = prepare_task(Some("child"), vec![a.as_erased(), b.as_erased()]).unwrap();
-        let report = std::thread::spawn(move || {
-            let scope = prepared.activate();
-            scope.finish()
-        })
-        .join()
-        .unwrap()
-        .expect("two abandoned promises");
-        assert_eq!(report.count, 2);
-        assert!(
-            report.promises.is_empty(),
-            "count-only mode cannot name the promises"
-        );
-    }
-
-    #[test]
-    fn eager_ledger_behaves_like_lazy_for_violations() {
-        let ctx = Context::new(PolicyConfig::verified().with_ledger(LedgerMode::Eager));
+    fn lazy_ledger_filters_fulfilled_entries_at_exit() {
+        let ctx = Context::new_verified();
         let _root = ctx.root_task(None);
         let ok = Promise::<i32>::new();
         let bad = Promise::<i32>::new();
@@ -683,7 +610,7 @@ mod tests {
         .join()
         .unwrap();
         let report = report.expect("the unfulfilled promise must be reported");
-        assert_eq!(report.count, 1);
+        assert_eq!(report.promises.len(), 1);
         assert_eq!(report.promises[0].promise, bad.id());
         assert_eq!(ok2.get().unwrap(), 1);
     }

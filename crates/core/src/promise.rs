@@ -368,7 +368,7 @@ impl<T: Send + Sync + 'static, X: Send + Sync + 'static> Promise<T, X> {
             let ctx = Arc::clone(&body.ctx);
             ctx.counters().record_promise_created();
             let id = ctx.next_promise_id();
-            let tracks = ctx.config().mode.tracks_ownership();
+            let tracks = ctx.mode().tracks_ownership();
             let slot = if tracks {
                 let s = ctx.promises.alloc();
                 // SAFETY: `s` was just allocated and is owned by this
@@ -386,11 +386,12 @@ impl<T: Send + Sync + 'static, X: Send + Sync + 'static> Promise<T, X> {
             } else {
                 PackedRef::NULL
             };
-            let name = if ctx.config().mode.captures_names() {
-                name()
-            } else {
-                None
-            };
+            // Names are read by alarms, error messages and the event log.
+            // The baseline raises no alarm, so it keeps none and `name()`
+            // reads `None` there.  Keeping one costs a string per named
+            // promise (a channel's cells share their base string, see
+            // `Name`), and nothing per `get`/`set`.
+            let name = if tracks { name() } else { None };
             // The cell comes from the recycled refcount-block pool: no
             // global-allocator call for pool-sized records (see
             // `crate::pool_arc`).
@@ -494,7 +495,7 @@ impl<T: Send + Sync + 'static, X: Send + Sync + 'static> Promise<T, X> {
         // deciding to fulfil and the rule-4 check + publication below.
         ctx.chaos_delay(ChaosSite::Set);
         self.chaos_fault_injection(ChaosSite::Set);
-        if ctx.config().mode.tracks_ownership() {
+        if ctx.mode().tracks_ownership() {
             ownership::on_set(&*self.inner)?;
         }
         self.log_set_event();
@@ -508,7 +509,7 @@ impl<T: Send + Sync + 'static, X: Send + Sync + 'static> Promise<T, X> {
     pub fn set_err(&self, message: impl Into<String>) -> Result<(), PromiseError> {
         let ctx = &self.inner.ctx;
         ctx.chaos_delay(ChaosSite::Set);
-        if ctx.config().mode.tracks_ownership() {
+        if ctx.mode().tracks_ownership() {
             ownership::on_set(&*self.inner)?;
         }
         let err = PromiseError::Poisoned {
@@ -722,7 +723,7 @@ impl<T: Send + Sync + 'static, X: Send + Sync + 'static> Promise<T, X> {
             return Ok(());
         }
         let ctx = &self.inner.ctx;
-        let mark = if ctx.config().mode.detects_deadlocks() && !self.inner.slot.is_null() {
+        let mark = if ctx.mode().tracks_ownership() && !self.inner.slot.is_null() {
             match task::current_task_detection_info(ctx) {
                 Some((t0_slot, t0_id, t0_name)) => {
                     let subject = detector::DetectionSubject {
@@ -829,7 +830,6 @@ impl<T: Send + Sync + 'static> Default for Promise<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::policy::PolicyConfig;
 
     #[test]
     fn set_then_get_returns_value() {
@@ -858,7 +858,7 @@ mod tests {
 
     #[test]
     fn double_set_fails_without_policy_too() {
-        let ctx = Context::new(PolicyConfig::unverified());
+        let ctx = Context::new_unverified();
         let _root = ctx.root_task(None);
         let p = Promise::<i32>::new();
         p.set(1).unwrap();

@@ -47,7 +47,7 @@ pub fn render_alarm(alarm: &Alarm) -> String {
             let _ = writeln!(
                 out,
                 "OMITTED SET: {task} terminated owning {} unfulfilled promise(s)",
-                report.count
+                report.promises.len()
             );
             for p in &report.promises {
                 let promise = p
@@ -119,7 +119,6 @@ mod tests {
                 promise: PromiseId(9),
                 promise_name: Some(Arc::from("s")),
             }],
-            count: 1,
         });
         let s = render_alarm(&Alarm::OmittedSet(report));
         assert!(s.contains("OMITTED SET: t4 (task#4)"));
@@ -134,7 +133,6 @@ mod tests {
             task: TaskId(1),
             task_name: None,
             promises: vec![],
-            count: 3,
         })));
         let s = render_alarms(&ctx);
         assert!(s.contains("alarm 1 of 1"));

@@ -29,7 +29,6 @@ use crate::error::OmittedSetReport;
 use crate::events::EventKind;
 use crate::ids::{PromiseId, TaskId};
 use crate::ownership;
-use crate::policy::LedgerMode;
 use crate::pool_arc::ErasedPromiseRef;
 use crate::refs::PackedRef;
 use crate::slots::PromiseSlot;
@@ -41,40 +40,36 @@ pub(crate) const LEDGER_PRUNE_MIN: usize = 8;
 
 /// The owned-promise ledger of one task (`owner⁻¹(t)` in the paper).
 ///
-/// Three representations are supported, matching the trade-off discussion of
-/// §6.2; see [`LedgerMode`].
+/// §6.2: the verified build keeps an actual list so that an omitted-set
+/// alarm can *name* the unfulfilled promises, and — as a speed/space
+/// trade-off — does not remove entries on transfer or fulfilment, instead
+/// re-checking `p.owner == t` when the task terminates.
 pub(crate) enum Ledger {
     /// No tracking at all (unverified baseline).
     Disabled,
-    /// A list of owned promises.  In [`LedgerMode::Lazy`] the list is
-    /// append-only between amortized prune sweeps and filtered at exit; in
-    /// [`LedgerMode::Eager`] entries are removed as soon as the promise is
-    /// set or transferred away.
+    /// A list of owned promises, append-only between amortized prune sweeps
+    /// and filtered at exit.
     List {
-        /// Owned entries (possibly stale in lazy mode).  Inline-first: the
-        /// common ledger (a task's transferred promises plus its completion
-        /// promise) costs no allocation.
+        /// Owned entries (possibly stale).  Inline-first: the common ledger
+        /// (a task's transferred promises plus its completion promise) costs
+        /// no allocation.
         entries: TransferList,
-        /// Whether entries are eagerly removed.
-        eager: bool,
-        /// Lazy mode only: the length at which the next append triggers a
-        /// prune sweep (stale entries — fulfilled, or owned by another task
-        /// — are exactly what the exit check skips, so removing them early
-        /// is observationally equivalent).  Doubled after each sweep, so
+        /// The length at which the next append triggers a prune sweep
+        /// (stale entries — fulfilled, or owned by another task — are
+        /// exactly what the exit check skips, so removing them early is
+        /// observationally equivalent).  Doubled after each sweep, so
         /// pruning is amortized O(1) per append while the ledger stays
         /// bounded by ~2× the task's *live* obligations.  Without this, a
         /// long-lived task that keeps spawning pins every child's pooled
         /// completion cell until its own exit — unbounded memory and a
         /// fresh block per spawn instead of recycling.
         prune_at: usize,
-        /// Lazy mode only: how many entries this task has given up (set, or
-        /// transferred to a child) since the last sweep — the only way an
-        /// entry of its own ledger goes stale, so this counts the stale
-        /// entries.  Drives [`Ledger::sweep_if_stale`].
+        /// How many entries this task has given up (set, or transferred to
+        /// a child) since the last sweep — the only way an entry of its own
+        /// ledger goes stale, so this counts the stale entries.  Drives
+        /// [`Ledger::sweep_if_stale`].
         released: u32,
     },
-    /// Only a count of owned promises is maintained.
-    Count(usize),
 }
 
 /// Whether ledger entry `e` of the task in `owner_slot` is still that task's
@@ -95,32 +90,21 @@ pub(crate) fn is_live_obligation(
 }
 
 impl Ledger {
-    pub(crate) fn new(mode: LedgerMode, enabled: bool) -> Ledger {
+    pub(crate) fn new(enabled: bool) -> Ledger {
         if !enabled {
             return Ledger::Disabled;
         }
-        match mode {
-            LedgerMode::Lazy => Ledger::List {
-                entries: TransferList::new(),
-                eager: false,
-                prune_at: LEDGER_PRUNE_MIN,
-                released: 0,
-            },
-            LedgerMode::Eager => Ledger::List {
-                entries: TransferList::new(),
-                eager: true,
-                prune_at: usize::MAX,
-                released: 0,
-            },
-            LedgerMode::CountOnly => Ledger::Count(0),
+        Ledger::List {
+            entries: TransferList::new(),
+            prune_at: LEDGER_PRUNE_MIN,
+            released: 0,
         }
     }
 
     /// Records that the task took ownership of `promise`.
     ///
     /// `promises` and `owner_slot` (the recording task's arena slot) drive
-    /// the lazy ledger's amortized prune sweep; eager and count ledgers
-    /// ignore them.
+    /// the amortized prune sweep.
     pub(crate) fn append(
         &mut self,
         promise: ErasedPromiseRef,
@@ -130,10 +114,8 @@ impl Ledger {
         if matches!(self, Ledger::List { entries, prune_at, .. } if entries.len() >= *prune_at) {
             self.sweep(promises, owner_slot);
         }
-        match self {
-            Ledger::Disabled => {}
-            Ledger::List { entries, .. } => entries.push(promise),
-            Ledger::Count(n) => *n += 1,
+        if let Ledger::List { entries, .. } = self {
+            entries.push(promise);
         }
     }
 
@@ -145,7 +127,6 @@ impl Ledger {
             entries,
             prune_at,
             released,
-            ..
         } = self
         {
             entries.retain(|e| is_live_obligation(e, promises, owner_slot));
@@ -154,29 +135,12 @@ impl Ledger {
         }
     }
 
-    /// Records that the task gave up ownership of the promise with id `id`
-    /// (it was fulfilled or transferred to a child).
-    pub(crate) fn release(&mut self, id: PromiseId) {
-        match self {
-            Ledger::Disabled => {}
-            Ledger::List {
-                entries,
-                eager,
-                released,
-                ..
-            } => {
-                if *eager {
-                    let pos = entries.iter().position(|e| e.id() == id);
-                    if let Some(pos) = pos {
-                        entries.swap_remove(pos);
-                    }
-                } else {
-                    // Lazy mode: the entry stays until a sweep; the exit
-                    // check re-reads owners.
-                    *released = released.saturating_add(1);
-                }
-            }
-            Ledger::Count(n) => *n = n.saturating_sub(1),
+    /// Records that the task gave up ownership of one promise (it was
+    /// fulfilled or transferred to a child).  The entry stays until a sweep;
+    /// the exit check re-reads owners.
+    pub(crate) fn release(&mut self) {
+        if let Ledger::List { released, .. } = self {
+            *released = released.saturating_add(1);
         }
     }
 
@@ -209,13 +173,12 @@ impl Ledger {
     }
 
     /// Number of entries currently recorded (an upper bound on the number of
-    /// owned promises in lazy mode).
-    #[allow(dead_code)]
+    /// owned promises).
+    #[cfg(test)]
     pub(crate) fn recorded_len(&self) -> usize {
         match self {
             Ledger::Disabled => 0,
             Ledger::List { entries, .. } => entries.len(),
-            Ledger::Count(n) => *n,
         }
     }
 }
@@ -262,7 +225,7 @@ impl TaskBody {
     /// runs only in a context that captures names.
     pub(crate) fn create(ctx: &Arc<Context>, name: impl FnOnce() -> Option<Arc<str>>) -> TaskBody {
         let id = ctx.next_task_id();
-        let tracks = ctx.config().mode.tracks_ownership();
+        let tracks = ctx.mode().tracks_ownership();
         let slot = if tracks {
             let s = ctx.tasks.alloc();
             // SAFETY: `s` was just allocated and is owned by this body until
@@ -276,17 +239,14 @@ impl TaskBody {
         } else {
             PackedRef::NULL
         };
-        let name = if ctx.config().mode.captures_names() {
-            name()
-        } else {
-            None
-        };
+        // The baseline raises no alarm, so it keeps no names.
+        let name = if tracks { name() } else { None };
         TaskBody {
             ctx: Arc::clone(ctx),
             id,
             name,
             slot,
-            ledger: Ledger::new(ctx.config().ledger, tracks),
+            ledger: Ledger::new(tracks),
             event_seq: 0,
             cancel: None,
             is_root: false,
@@ -421,8 +381,8 @@ fn take_current() -> Option<TaskBody> {
 /// obligations a helped job might transitively join on — Sieve-style
 /// pipeline stages, for example) park and grow exactly as before.
 ///
-/// `Ledger::Disabled` (unverified mode) and `Ledger::Count` track too
-/// little to prove emptiness, so they never help.
+/// `Ledger::Disabled` (unverified mode) tracks too little to prove
+/// emptiness, so it never helps.
 ///
 /// Known limitation (documented, watchdog-visible): the completion-promise
 /// exemption assumes the completion is only joined through
@@ -440,7 +400,7 @@ pub(crate) fn current_task_may_help(ctx: &Arc<Context>) -> bool {
             Ledger::List { entries, .. } => entries.iter().all(|e| {
                 e.id() == b.exempt_completion || !is_live_obligation(e, &b.ctx.promises, b.slot)
             }),
-            Ledger::Disabled | Ledger::Count(_) => false,
+            Ledger::Disabled => false,
         }
     })
     .unwrap_or(false)
@@ -768,7 +728,6 @@ impl Context {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::policy::PolicyConfig;
 
     #[test]
     fn root_task_binds_and_unbinds_the_thread() {
@@ -806,7 +765,7 @@ mod tests {
 
     #[test]
     fn unverified_context_does_not_register_task_slots() {
-        let ctx = Context::new(PolicyConfig::unverified());
+        let ctx = Context::new_unverified();
         let root = ctx.root_task(Some("main"));
         assert_eq!(
             ctx.live_tasks(),
@@ -831,26 +790,13 @@ mod tests {
 
     #[test]
     fn ledger_modes_track_lengths() {
-        let mut lazy = Ledger::new(LedgerMode::Lazy, true);
-        let mut count = Ledger::new(LedgerMode::CountOnly, true);
-        let mut off = Ledger::new(LedgerMode::Lazy, false);
+        let mut lazy = Ledger::new(true);
+        let mut off = Ledger::new(false);
         assert_eq!(lazy.recorded_len(), 0);
-        count.append_dummy();
-        count.release(PromiseId(1));
-        assert_eq!(count.recorded_len(), 0);
-        off.append_dummy();
+        off.release();
         assert_eq!(off.recorded_len(), 0);
-        lazy.release(PromiseId(42)); // no-op, nothing recorded
+        lazy.release(); // no-op, nothing recorded
         assert_eq!(lazy.recorded_len(), 0);
-    }
-
-    impl Ledger {
-        /// Test helper: bump a count-style ledger without a real promise.
-        fn append_dummy(&mut self) {
-            if let Ledger::Count(n) = self {
-                *n += 1;
-            }
-        }
     }
 
     /// The lazy ledger must not pin one entry per promise forever: a task
@@ -891,7 +837,7 @@ mod tests {
             p.set(i).unwrap();
         }
         let report = root.finish().expect("the abandoned promise is reported");
-        assert_eq!(report.count, 1);
+        assert_eq!(report.promises.len(), 1);
         assert_eq!(report.promises[0].promise, abandoned.id());
         assert!(matches!(
             abandoned.get(),

@@ -7,7 +7,7 @@
 //! it from one thread, so tasks and promises are numbered in program order.
 
 use promise_core::ownership::prepare_task;
-use promise_core::{Context, EventKind, PolicyConfig, Promise, PromiseError};
+use promise_core::{Context, EventKind, Promise, PromiseError, VerificationMode};
 
 /// The one run-specific field of an event line.
 fn without_timestamp(line: &str) -> String {
@@ -63,7 +63,7 @@ fn omitted_set_report_names_task_and_promise_as_before() {
 
 #[test]
 fn transfer_and_set_event_lines_and_the_replay_key_are_unchanged() {
-    let ctx = Context::new_instrumented(PolicyConfig::verified(), None, true);
+    let ctx = Context::new_instrumented(VerificationMode::Full, None, true);
     let root = ctx.root_task(None);
     let p = Promise::<u32>::with_name("p7");
     let child = prepare_task(Some("t3"), vec![p.as_erased()]).unwrap();
@@ -108,7 +108,7 @@ fn transfer_and_set_event_lines_and_the_replay_key_are_unchanged() {
     assert_eq!(set.task_key(), "t3", "the replay tool's stable task key");
 
     // An unnamed task keys by id.
-    let unnamed = Context::new_instrumented(PolicyConfig::unverified(), None, true);
+    let unnamed = Context::new_instrumented(VerificationMode::Unverified, None, true);
     let root = unnamed.root_task(None);
     root.finish();
     let events = unnamed.event_log().unwrap().snapshot();

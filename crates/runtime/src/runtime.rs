@@ -4,8 +4,8 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use promise_core::{
-    Alarm, ArenaMemoryStats, ChaosConfig, Context, Executor, HelpConfig, LedgerMode,
-    OmittedSetAction, PolicyConfig, PromiseError, StallReport, VerificationMode,
+    Alarm, ArenaMemoryStats, ChaosConfig, Context, Executor, HelpConfig, PromiseError, StallReport,
+    VerificationMode,
 };
 
 use crate::metrics::RunMetrics;
@@ -139,7 +139,7 @@ pub struct ShutdownReport {
 /// Builder for [`Runtime`].
 #[derive(Clone, Debug)]
 pub struct RuntimeBuilder {
-    policy: PolicyConfig,
+    mode: VerificationMode,
     pool: PoolConfig,
     help: HelpConfig,
     chaos: Option<ChaosConfig>,
@@ -151,7 +151,7 @@ pub struct RuntimeBuilder {
 impl Default for RuntimeBuilder {
     fn default() -> Self {
         RuntimeBuilder {
-            policy: PolicyConfig::verified(),
+            mode: VerificationMode::Full,
             pool: PoolConfig::default(),
             help: HelpConfig::default(),
             chaos: None,
@@ -168,27 +168,9 @@ impl RuntimeBuilder {
         Self::default()
     }
 
-    /// Sets the verification mode (baseline / ownership-only / full).
+    /// Sets the verification mode (baseline / verified).
     pub fn verification(mut self, mode: VerificationMode) -> Self {
-        self.policy.mode = mode;
-        self
-    }
-
-    /// Sets the owned-ledger representation (§6.2 trade-off).
-    pub fn ledger(mut self, ledger: LedgerMode) -> Self {
-        self.policy.ledger = ledger;
-        self
-    }
-
-    /// Sets the reaction to omitted sets.
-    pub fn omitted_set(mut self, action: OmittedSetAction) -> Self {
-        self.policy.omitted_set = action;
-        self
-    }
-
-    /// Replaces the whole policy configuration.
-    pub fn policy(mut self, policy: PolicyConfig) -> Self {
-        self.policy = policy;
+        self.mode = mode;
         self
     }
 
@@ -201,9 +183,9 @@ impl RuntimeBuilder {
     /// **On by default** (`HelpConfig::default()`); pass
     /// [`HelpConfig::disabled()`] to turn it off, in which case the blocking
     /// `get` path pays exactly one untaken branch.  Helping only engages for
-    /// tasks whose verification mode keeps a list ledger (the gate needs to
-    /// prove the blocked task owes nothing another task could wait on), so
-    /// unverified baseline runs park exactly as before.
+    /// verified tasks (the gate reads the task's ledger to prove it owes
+    /// nothing another task could wait on), so unverified baseline runs park
+    /// exactly as before.
     pub fn help(mut self, config: HelpConfig) -> Self {
         self.help = config;
         self
@@ -292,7 +274,7 @@ impl RuntimeBuilder {
             Some(c) if c.scramble_spawns => Some(c.seed),
             _ => None,
         };
-        let ctx = Context::new_instrumented(self.policy, chaos, self.event_log);
+        let ctx = Context::new_instrumented(self.mode, chaos, self.event_log);
         // A retiring worker means the pool is shrinking: a natural low point
         // to sweep fully-free arena chunks (worker exit is rare, and reclaim
         // never blocks the data plane).  The worker itself has nothing to
@@ -555,7 +537,7 @@ impl Drop for Runtime {
 impl std::fmt::Debug for Runtime {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Runtime")
-            .field("mode", &self.ctx.config().mode)
+            .field("mode", &self.ctx.mode())
             .field("pool", &self.scheduler.stats())
             .finish()
     }

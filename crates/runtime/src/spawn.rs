@@ -146,9 +146,10 @@ pub(crate) fn prepare_spawn<R: Send + 'static>(
     let ctx = task::current_context().ok_or(PromiseError::NoCurrentTask { operation: "spawn" })?;
 
     // A named spawn interns its name once; the task and its completion
-    // promise share the string.
+    // promise share the string.  The baseline raises no alarm, so it keeps
+    // no names.
     let task_name: Option<Arc<str>> = name
-        .filter(|_| ctx.config().mode.captures_names())
+        .filter(|_| ctx.mode().tracks_ownership())
         .map(Arc::from);
 
     // The implicit join promise of §2.1: created by the parent, transferred

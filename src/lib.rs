@@ -46,8 +46,7 @@ pub use promise_sync as sync;
 /// Commonly used items, re-exported for convenience.
 pub mod prelude {
     pub use promise_core::{
-        DeadlockCycle, LedgerMode, OmittedSetAction, PolicyConfig, Promise, PromiseCollection,
-        PromiseError, TaskId, VerificationMode,
+        DeadlockCycle, Promise, PromiseCollection, PromiseError, TaskId, VerificationMode,
     };
     pub use promise_runtime::{
         spawn, spawn_named, AlarmTail, FinishScope, ObserveConfig, Runtime, RuntimeBuilder,
