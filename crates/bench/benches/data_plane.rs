@@ -33,9 +33,9 @@
 //!   only) ≈ 0.3 ns.
 //! * `arena/chunk-churn` — a whole-chunk alloc/free wave (1024 slots).
 //!   `reclaim-every-wave` retires, frees, and resurrects the chunk each
-//!   wave (≈ 74 µs/wave); `keep-resident` leaves it mapped (≈ 55 µs/wave).
-//!   The retire → unmap → remap round trip therefore costs ≈ 19 µs per
-//!   chunk, ≈ 19 ns amortised per slot — paid only at explicit `reclaim()`
+//!   wave (≈ 108 µs/wave); `keep-resident` leaves it mapped (≈ 93 µs/wave).
+//!   The retire → unmap → remap round trip therefore costs ≈ 15 µs per
+//!   chunk, ≈ 15 ns amortised per slot — paid only at explicit `reclaim()`
 //!   calls, never on the per-operation paths.
 //! * `detector/chain-walk` — one full Algorithm 2 verification over a
 //!   128-task non-cyclic waits-for chain (throughput = edges/step walked).

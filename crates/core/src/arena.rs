@@ -18,14 +18,18 @@
 //!
 //! [`SlotArena`] solves both problems:
 //!
-//! * Slots live in chunks that are allocated on demand; raw chunk pointers
+//! * Slots live in chunks that are allocated on demand, each one heap
+//!   block holding its `CHUNK_SIZE` slots; raw chunk pointers
 //!   are only dereferenced while the chunk is guaranteed resident — by
 //!   holding one of its slot indices, or by an **epoch pin**
 //!   ([`crate::epoch`]) that delays the freeing of any chunk the thread
 //!   could have observed.  Fully-free chunks are *reclaimed*
 //!   ([`SlotArena::reclaim`]): unmapped from the chunk table, parked in
 //!   limbo for two grace periods, then returned to the allocator — so a
-//!   long-lived process whose live set shrinks actually shrinks.
+//!   long-lived process whose live set shrinks actually shrinks.  The
+//!   reclaim cycle calls the allocator only for chunk storage: `reclaim`
+//!   splits the free list in place, and mapping a chunk back in is one
+//!   allocation.
 //! * The chunk table itself is sized by use: a two-level **directory** whose
 //!   top level is an inline array of `MAX_CHUNKS / 128` page pointers (1 KiB
 //!   per arena) and whose pages each hold 128 chunk pointers next to their
@@ -193,11 +197,12 @@
 //! pages: the `SeqCst` unlink, the remap stamps and the generation floors
 //! are the same stores to the same kind of entry, only the address of the
 //! entry changed.  A lookup is two dependent loads (page pointer, then
-//! chunk pointer), as it was with the boxed flat table, whose slice pointer
-//! had to be loaded first; the top level is inline in the arena.
+//! chunk pointer); the top level is inline in the arena, and a chunk *is*
+//! its slot array, so the slot sits at a constant offset from the chunk
+//! pointer with no further load and no bounds check.
 //! [`CachedResolver`] caches the chunk's metadata next to the chunk
-//! pointer, so the detector's cache hit is still one remap-stamp load and
-//! never reaches the directory.
+//! pointer, so the detector's cache hit is one remap-stamp load and never
+//! reaches the directory.
 //!
 //! [`SlotArena::resolve`] turns a [`PackedRef`] into a [`SlotHandle`]
 //! carrying the slot's raw address, so repeated reads of the same slot (the
@@ -230,6 +235,11 @@ pub const MAX_CHUNKS: usize = 16 * 1024;
 /// Chunk entries per directory page (one page covers 128 K slots).
 const PAGE_CHUNKS: usize = 128;
 
+/// The `next_free` value [`SlotArena::reclaim`] marks the indices of a
+/// detached free list with.  Links are 1-based slot indices below
+/// `MAX_CHUNKS * CHUNK_SIZE + 1`, so no other path ever writes it.
+const RECLAIM_MARK: u32 = u32::MAX;
+
 /// Directory pages an arena can map: the inline top level, 1 KiB of page
 /// pointers.
 const PAGES: usize = MAX_CHUNKS / PAGE_CHUNKS;
@@ -254,29 +264,42 @@ struct Slot<T> {
     value: T,
 }
 
+/// One chunk of slots: a single allocation holding the slot array itself,
+/// so a lookup is one load of the chunk pointer and a constant-offset index.
 struct Chunk<T> {
-    slots: Box<[Slot<T>]>,
+    slots: [Slot<T>; CHUNK_SIZE],
 }
 
 impl<T: SlotValue> Chunk<T> {
-    fn new() -> Self {
-        Self::with_generation(0)
-    }
-
-    /// A chunk whose slots all start at generation `floor` (0 for brand-new
-    /// chunks; the recorded even generation floor when a reclaimed chunk is
-    /// mapped back in, so stale references into the previous mapping can
-    /// never match a new occupancy).
-    fn with_generation(floor: u32) -> Self {
-        let slots = (0..CHUNK_SIZE)
-            .map(|_| Slot {
-                generation: AtomicU32::new(floor),
-                next_free: AtomicU32::new(0),
-                value: T::new_empty(),
-            })
-            .collect::<Vec<_>>()
-            .into_boxed_slice();
-        Chunk { slots }
+    /// Allocates a chunk whose slots all start at generation `floor` (0 for
+    /// brand-new chunks; the recorded even generation floor when a
+    /// reclaimed chunk is mapped back in, so stale references into the
+    /// previous mapping can never match a new occupancy), with slot `k`'s
+    /// free-list link set to `next_free(k)`.
+    ///
+    /// The slots are written in place in the heap block: the chunk is never
+    /// built on the stack, because this runs inside magazine refills, on
+    /// worker and helping stacks.
+    fn boxed(floor: u32, next_free: impl Fn(u32) -> u32) -> Box<Self> {
+        let mut chunk = Box::<Self>::new_uninit();
+        // Safety: a place projection through the raw pointer (no reference
+        // to uninitialised memory is formed); array elements are contiguous.
+        let slots =
+            unsafe { std::ptr::addr_of_mut!((*chunk.as_mut_ptr()).slots) }.cast::<Slot<T>>();
+        for k in 0..CHUNK_SIZE {
+            // Safety: `k < CHUNK_SIZE` stays inside the array, and each
+            // element is written exactly once.
+            unsafe {
+                slots.add(k).write(Slot {
+                    generation: AtomicU32::new(floor),
+                    next_free: AtomicU32::new(next_free(k as u32)),
+                    value: T::new_empty(),
+                });
+            }
+        }
+        // Safety: the loop above initialised every slot, which is every
+        // field of the chunk.
+        unsafe { chunk.assume_init() }
     }
 }
 
@@ -627,7 +650,7 @@ impl<T: SlotValue> SlotArena<T> {
             !g.retired.contains(&(chunk_idx as u32)),
             "fresh mapping of a retired chunk"
         );
-        let chunk = Box::into_raw(Box::new(Chunk::new()));
+        let chunk = Box::into_raw(Chunk::boxed(0, |_| 0));
         entry.chunk.store(chunk, Ordering::Release);
         self.mapped_chunks.fetch_add(1, Ordering::Relaxed);
         self.note_resident_peak();
@@ -839,17 +862,27 @@ impl<T: SlotValue> SlotArena<T> {
     /// grace periods have elapsed.  Returns the number of bytes returned to
     /// the allocator by this call.
     ///
-    /// The scan detaches the entire global free list with one CAS, groups
-    /// the detached indices by chunk, and retires exactly the chunks *all*
-    /// `CHUNK_SIZE` of whose indices it holds — which structurally excludes
-    /// chunks with live occupancies, magazine-cached indices, in-flight
-    /// frees, and the fresh frontier.  Retiring unlinks the chunk from the
-    /// chunk table (stale readers see `None`; pinned readers that already
-    /// hold the pointer stay safe) and parks it in limbo stamped with the
-    /// global epoch; the remaining indices go back as one pre-linked chain.
-    /// The call then nudges the global epoch forward (twice, so a quiescent
-    /// caller frees its own retirees immediately) and drains whatever limbo
-    /// entries have expired.
+    /// The scan detaches the entire global free list with one CAS and
+    /// splits it by chunk in place, without a buffer: one walk of the
+    /// detached chain marks each index (its `next_free` becomes
+    /// `RECLAIM_MARK`, which no other path writes) and records the range
+    /// of chunks it touched; then one ascending scan per chunk in that range
+    /// counts the marks.  A chunk *all* `CHUNK_SIZE` of whose indices are
+    /// marked is retired — which structurally excludes chunks with live
+    /// occupancies, magazine-cached indices, in-flight frees, and the fresh
+    /// frontier.  Retiring unlinks the chunk from the chunk table (stale
+    /// readers see `None`; pinned readers that already hold the pointer stay
+    /// safe) and parks it in limbo stamped with the global epoch.  Every
+    /// other marked index is relinked, in ascending index order so the next
+    /// refills get neighbouring slots, into one chain pushed back with a
+    /// single CAS; the relink and that push overwrite every mark.  The call
+    /// then nudges the global epoch forward (twice, so a quiescent caller
+    /// frees its own retirees immediately) and drains whatever limbo entries
+    /// have expired.
+    ///
+    /// The split costs one walk of the detached chain plus `CHUNK_SIZE`
+    /// loads per chunk in the touched range, and calls the allocator only
+    /// when the limbo or retired-index lists outgrow their capacity.
     ///
     /// Indices of a retired chunk leave circulation entirely; they are
     /// re-minted when allocation pressure maps the chunk back in with a
@@ -863,9 +896,11 @@ impl<T: SlotValue> SlotArena<T> {
             let mut state = self.grow_lock.lock();
             freed += self.drain_limbo_locked(&mut state);
             // Detach the whole free list (the tag bump invalidates every
-            // in-flight `pop_free` CAS).
-            let mut indices: Vec<u32> = Vec::new();
-            loop {
+            // in-flight `pop_free` CAS), then mark the detached indices.
+            // Every index on the list has a mapped chunk (retirement
+            // consumes a chunk's indices); we hold the whole detached chain
+            // exclusively, and `grow_lock` keeps every chunk where it is.
+            let mut next = loop {
                 let head = self.free_head.load(Ordering::Acquire);
                 let tag = (head as u32).wrapping_add(1);
                 if self
@@ -873,44 +908,62 @@ impl<T: SlotValue> SlotArena<T> {
                     .compare_exchange(head, tag as u64, Ordering::AcqRel, Ordering::Acquire)
                     .is_ok()
                 {
-                    let mut next = (head >> 32) as u32;
-                    while next != 0 {
-                        let idx = next - 1;
-                        indices.push(idx);
-                        // The index was on the free list, so its chunk was
-                        // never retired (retirement consumes the indices);
-                        // we hold the whole detached chain exclusively and
-                        // `grow_lock` keeps every chunk where it is.
-                        let slot = self.slot(idx).expect("free-list chunk is mapped");
-                        next = slot.next_free.load(Ordering::Relaxed);
+                    break (head >> 32) as u32;
+                }
+            };
+            let (mut first_chunk, mut last_chunk) = (usize::MAX, 0);
+            while next != 0 {
+                let idx = next - 1;
+                let slot = self.slot(idx).expect("free-list chunk is mapped");
+                // A load and a store, not a swap: the index is ours alone,
+                // and a locked exchange per index would dominate the walk.
+                next = slot.next_free.load(Ordering::Relaxed);
+                slot.next_free.store(RECLAIM_MARK, Ordering::Relaxed);
+                first_chunk = first_chunk.min(idx as usize / CHUNK_SIZE);
+                last_chunk = last_chunk.max(idx as usize / CHUNK_SIZE);
+            }
+            // The kept chain, ascending: its head index, and its last index
+            // and slot.
+            let mut kept: Option<(u32, u32, &Slot<T>)> = None;
+            for chunk_idx in first_chunk..=last_chunk {
+                let ptr = self
+                    .entry(chunk_idx)
+                    .map_or(std::ptr::null_mut(), |e| e.chunk.load(Ordering::Acquire));
+                if ptr.is_null() {
+                    // Retired earlier: none of its indices can be marked.
+                    continue;
+                }
+                // Safety: the chunk is mapped, and only this function
+                // (under `grow_lock`, held) unmaps chunks.
+                let chunk = unsafe { &*ptr };
+                // Link this chunk's marked indices onto the kept chain as
+                // they are found; undone below if all of them are marked.
+                let before = kept;
+                let mut marked = 0;
+                let base = (chunk_idx * CHUNK_SIZE) as u32;
+                for (k, slot) in chunk.slots.iter().enumerate() {
+                    if slot.next_free.load(Ordering::Relaxed) != RECLAIM_MARK {
+                        continue;
                     }
-                    break;
+                    marked += 1;
+                    let idx = base + k as u32;
+                    kept = Some(match kept {
+                        None => (idx, idx, slot),
+                        Some((head, _, last)) => {
+                            last.next_free.store(idx + 1, Ordering::Relaxed);
+                            (head, idx, slot)
+                        }
+                    });
                 }
-            }
-            indices.sort_unstable();
-            let mut keep: Vec<u32> = Vec::with_capacity(indices.len());
-            let mut i = 0;
-            while i < indices.len() {
-                let chunk_idx = indices[i] as usize / CHUNK_SIZE;
-                let mut j = i;
-                while j < indices.len() && indices[j] as usize / CHUNK_SIZE == chunk_idx {
-                    j += 1;
-                }
-                if j - i == CHUNK_SIZE {
+                if marked == CHUNK_SIZE {
+                    // The previous last index's link into this chunk is
+                    // overwritten by the next link or by the final push.
+                    kept = before;
                     self.retire_chunk_locked(&mut state, chunk_idx);
-                } else {
-                    keep.extend_from_slice(&indices[i..j]);
                 }
-                i = j;
             }
-            if !keep.is_empty() {
-                for k in 0..keep.len() - 1 {
-                    self.slot(keep[k])
-                        .expect("kept index is mapped")
-                        .next_free
-                        .store(keep[k + 1] + 1, Ordering::Relaxed);
-                }
-                self.push_free_chain(keep[0], keep[keep.len() - 1]);
+            if let Some((head, last, _)) = kept {
+                self.push_free_chain(head, last);
             }
         }
         // Nudge the epoch past the retirees just parked (each attempt only
@@ -992,14 +1045,10 @@ impl<T: SlotValue> SlotArena<T> {
             base = (chunk_idx * CHUNK_SIZE) as u32;
             let entry = self.entry(chunk_idx).expect("a retired chunk has a page");
             let floor = entry.meta.gen_floor.load(Ordering::Relaxed);
-            let chunk = Box::new(Chunk::with_generation(floor));
-            // Pre-link the chunk's indices (ascending) while nothing else
-            // can reach them; the tail is re-pointed by `push_free_chain`.
-            for k in 0..CHUNK_SIZE - 1 {
-                chunk.slots[k]
-                    .next_free
-                    .store(base + k as u32 + 2, Ordering::Relaxed);
-            }
+            // Pre-link the chunk's indices (ascending, 1-based links) while
+            // nothing else can reach them; the tail is re-pointed by
+            // `push_free_chain`.
+            let chunk = Chunk::boxed(floor, |k| base + k + 2);
             entry.meta.remap_stamp.fetch_add(1, Ordering::AcqRel);
             entry.chunk.store(Box::into_raw(chunk), Ordering::Release);
             self.mapped_chunks.fetch_add(1, Ordering::Relaxed);
@@ -1788,6 +1837,53 @@ mod tests {
         drop(pin);
         reclaim_until_freed(&arena);
         assert_eq!(arena.chunks_reclaimed(), 1);
+    }
+
+    /// The kept free list comes back in ascending index order, however the
+    /// indices were freed: the next refills take neighbouring slots,
+    /// starting in the lowest partially free chunk.  A fully free chunk in
+    /// the middle of the range is retired, not relinked.
+    #[test]
+    fn reclaim_relinks_kept_indices_in_ascending_order() {
+        let arena: SlotArena<TestCell> = SlotArena::new_global_only();
+        let refs: Vec<_> = (0..3 * CHUNK_SIZE).map(|_| arena.alloc()).collect();
+        // Chunk 0 frees its odd slots, chunk 1 everything, chunk 2 every
+        // third slot; the rest stay live.
+        let freed = |i: usize| match i / CHUNK_SIZE {
+            0 => i % 2 == 1,
+            1 => true,
+            _ => i.is_multiple_of(3),
+        };
+        let mut victims: Vec<_> = (0..refs.len()).filter(|&i| freed(i)).collect();
+        let mut seed = 0x5eed_u64;
+        for i in (1..victims.len()).rev() {
+            victims.swap(
+                i,
+                crate::test_support::rng::xorshift(&mut seed) as usize % (i + 1),
+            );
+        }
+        for &i in &victims {
+            arena.free(refs[i]);
+        }
+        arena.reclaim();
+        assert_eq!(arena.grow_lock.lock().retired, [1]);
+        let kept: Vec<_> = (0..refs.len())
+            .filter(|&i| freed(i) && i / CHUNK_SIZE != 1)
+            .collect();
+        let next: Vec<_> = kept.iter().map(|_| arena.alloc()).collect();
+        assert_eq!(
+            next.iter().map(|r| r.index() as usize).collect::<Vec<_>>(),
+            kept
+        );
+        for (i, r) in refs.iter().enumerate() {
+            if !freed(i) {
+                arena.free(*r);
+            }
+        }
+        for r in next {
+            arena.free(r);
+        }
+        assert_eq!(arena.live(), 0);
     }
 
     /// Regression test (PR 6): a `CachedResolver` used to key its cache on

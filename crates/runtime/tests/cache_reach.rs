@@ -56,12 +56,20 @@ fn late_worker_and_root_thread_are_served_with_64_workers_parked() {
         }
         assert!(rt.pool_stats().current_workers >= PARKED);
 
+        let live_before = rt.context().live_promises();
         let (slots_before, blocks_before) = (rt.memory_stats(), job_pool_stats());
         // The root thread never registered; the late worker registered
         // after all the others (the pool starts it because they are all in
         // use) and while they are all still alive.
         churn();
         spawn((), churn).join().unwrap();
+        // The root's lazy ledger frees its last few fulfilled promises (slot
+        // and block) only at its next sweep, which runs when the root parks
+        // — in `join` only if the spawned churn is still running.  Those
+        // promises are still live, so their frees are counted as owed.  Read
+        // before the counters: a free landing between the two reads is
+        // then counted at least once.
+        let deferred = rt.context().live_promises().saturating_sub(live_before) as u64;
         let (slots, blocks) = (rt.memory_stats(), job_pool_stats());
 
         for (what, served, shared) in [
@@ -78,8 +86,8 @@ fn late_worker_and_root_thread_are_served_with_64_workers_parked() {
         ] {
             // Two threads, one alloc and one free per round each.
             assert!(
-                served + shared >= 4 * ROUNDS,
-                "{what}: {served} + {shared} operations counted"
+                served + shared + deferred >= 4 * ROUNDS,
+                "{what}: {served} + {shared} operations counted, {deferred} frees deferred"
             );
             assert!(
                 (shared as f64) < 0.01 * (served + shared) as f64,
