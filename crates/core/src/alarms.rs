@@ -366,7 +366,7 @@ mod tests {
         let sink: Arc<AlarmSink<u64>> = Arc::new(AlarmSink::new());
         let writers = 4;
         let readers = 4;
-        let per_writer = 500u64;
+        let per_writer = if cfg!(miri) { 50 } else { 500u64 };
         let total = writers as u64 * per_writer;
         let got: Arc<Mutex<Vec<u64>>> = Arc::new(Mutex::new(Vec::new()));
         let mut handles = Vec::new();
@@ -421,7 +421,7 @@ mod tests {
     fn concurrent_pushes_all_arrive() {
         let sink: Arc<AlarmSink<u64>> = Arc::new(AlarmSink::new());
         let threads = 8;
-        let per_thread = 1000u64;
+        let per_thread = if cfg!(miri) { 50 } else { 1000u64 };
         let handles: Vec<_> = (0..threads)
             .map(|t| {
                 let sink = Arc::clone(&sink);
@@ -445,11 +445,12 @@ mod tests {
     fn iteration_never_blocks_concurrent_pushes() {
         // Readers walk while writers push; every reader sees at least the
         // entries committed before it started and never a torn value.
+        let (pushes, passes) = if cfg!(miri) { (300, 20) } else { (5_000, 200) };
         let sink: Arc<AlarmSink<(u64, u64)>> = Arc::new(AlarmSink::new());
         let writer = {
             let sink = Arc::clone(&sink);
             std::thread::spawn(move || {
-                for i in 0..5_000u64 {
+                for i in 0..pushes {
                     sink.push((i, !i));
                 }
             })
@@ -458,7 +459,7 @@ mod tests {
             let sink = Arc::clone(&sink);
             std::thread::spawn(move || {
                 let mut max_seen = 0usize;
-                for _ in 0..200 {
+                for _ in 0..passes {
                     let before = sink.len();
                     let mut count = 0usize;
                     sink.for_each(|(a, b)| {
@@ -473,7 +474,7 @@ mod tests {
         };
         writer.join().unwrap();
         let max_seen = reader.join().unwrap();
-        assert!(max_seen <= 5_000);
-        assert_eq!(sink.len(), 5_000);
+        assert!(max_seen <= pushes as usize);
+        assert_eq!(sink.len(), pushes as usize);
     }
 }

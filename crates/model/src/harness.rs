@@ -20,10 +20,13 @@
 //!    time from the cycle-closing `get` being recorded to the first deadlock
 //!    alarm being recorded.
 //!
+//! Each [`ProgramRun`] keeps one snapshot of its program's event log: the
+//! canonical export is rendered from it at once, the full log only on
+//! request ([`ProgramRun::full_log`], which [`export_log`] calls).
 //! [`run_batch`] aggregates a whole campaign into a
 //! [`DetectionStats`](promise_runtime::DetectionStats) and keeps each
 //! program's canonical event log, which the determinism tests compare
-//! byte-for-byte across runs.
+//! byte-for-byte across runs; it never renders a full log.
 //!
 //! Every program runs with its own fresh runtime, driven from a small pool
 //! of reused harness runner threads (capped at four): fresh OS threads are
@@ -36,7 +39,7 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
-use promise_core::{Alarm, ChaosConfig, EventKind, EventRecord, Promise};
+use promise_core::{events, Alarm, ChaosConfig, EventKind, EventRecord, Promise};
 use promise_runtime::{spawn_named, DetectionStats, Runtime};
 
 use crate::generator::{generate, GenConfig, GeneratedProgram};
@@ -104,8 +107,9 @@ pub struct ProgramVerdict {
     pub false_alarms: u64,
 }
 
-/// One executed program: verdict, run-specific latency, and the two log
-/// exports.
+/// One executed program: verdict, run-specific latency, the canonical log
+/// export, and the logged events, from which [`full_log`](Self::full_log)
+/// renders the full export on request.
 #[derive(Clone, Debug)]
 pub struct ProgramRun {
     /// The graded, deterministic outcome.
@@ -116,17 +120,25 @@ pub struct ProgramRun {
     /// Canonical (schedule-independent) event log, byte-identical across
     /// runs of the same program.
     pub canonical_log: String,
-    /// Full event log with timestamps (JSONL, replayable).
-    pub full_log: String,
+    /// The program's event log, snapshotted once after shutdown.
+    pub events: Vec<EventRecord>,
+}
+
+impl ProgramRun {
+    /// The full event log with timestamps (JSONL, replayable), rendered
+    /// from [`events`](Self::events) on each call.
+    pub fn full_log(&self) -> String {
+        events::jsonl(&self.events)
+    }
 }
 
 /// Serializes a run as a replayable log file: the program header line
-/// followed by the full event JSONL (the format `promise-model`'s `replay`
-/// binary consumes).
+/// followed by the full event JSONL ([`ProgramRun::full_log`]; the format
+/// `promise-model`'s `replay` binary consumes).
 pub fn export_log(gp: &GeneratedProgram, run: &ProgramRun) -> String {
     let mut out = crate::generator::program_to_json(gp);
     out.push('\n');
-    out.push_str(&run.full_log);
+    out.push_str(&run.full_log());
     out
 }
 
@@ -155,9 +167,10 @@ pub fn run_program(gp: &GeneratedProgram, chaos: Option<ChaosConfig>) -> Program
         "generator/oracle deadlock mismatch (seed {:#x})",
         gp.seed
     );
-    let planted_omitted: Vec<PromiseName> = gp.omitted.map(|(_, m)| m).into_iter().collect();
+    let planted_omitted = gp.omitted.map(|(_, m)| m);
     assert_eq!(
-        oracle.omitted, planted_omitted,
+        oracle.omitted.as_slice(),
+        planted_omitted.as_slice(),
         "generator/oracle omitted-set mismatch (seed {:#x})",
         gp.seed
     );
@@ -176,11 +189,10 @@ pub fn run_program(gp: &GeneratedProgram, chaos: Option<ChaosConfig>) -> Program
 
     let log = ctx.event_log().expect("event log was enabled");
     let events = log.snapshot();
-    let canonical_log = log.canonical_jsonl();
-    let full_log = log.to_jsonl();
+    let canonical_log = events::canonical_jsonl(&events);
 
     // Fault-injection awareness: when chaos panics or cancels fired during
-    // this program (recorded as `Panic` / `Cancel` events in the full log),
+    // this program (recorded as `Panic` / `Cancel` events in the event log),
     // grading must not blame the verifier for their side effects.
     //
     // * A task that *panicked* legitimately abandons whatever it still owned
@@ -206,7 +218,6 @@ pub fn run_program(gp: &GeneratedProgram, chaos: Option<ChaosConfig>) -> Program
     let mut deadlock_detected = false;
     let mut omitted_detected = false;
     let mut false_alarms = 0u64;
-    let planted_name = gp.omitted.map(|(_, m)| format!("p{m}"));
     for alarm in ctx.alarms() {
         match alarm {
             Alarm::Deadlock(_) => {
@@ -218,23 +229,24 @@ pub fn run_program(gp: &GeneratedProgram, chaos: Option<ChaosConfig>) -> Program
                 }
             }
             Alarm::OmittedSet(report) => {
+                // The runtime reports only when something was abandoned, so
+                // a report naming nothing is itself unjustified.
+                if report.promises.is_empty() {
+                    false_alarms += 1;
+                }
                 let blamed_task_panicked = panicked_tasks.contains(&report.task);
                 for abandoned in &report.promises {
-                    let name = abandoned.promise_name.as_deref().map(str::to_owned);
-                    if name.is_some() && name == planted_name {
+                    let planted = abandoned
+                        .promise_name
+                        .as_deref()
+                        .zip(planted_omitted)
+                        .is_some_and(|(name, m)| is_promise_named(name, m));
+                    if planted {
                         omitted_detected = true;
                     } else if blamed_task_panicked {
                         // The owner died by (injected) panic: abandoning its
                         // promises is the contained-failure contract working
                         // as designed, not a spurious report.
-                    } else {
-                        false_alarms += 1;
-                    }
-                }
-                if report.promises.is_empty() {
-                    // Count-only ledgers carry no names; grade on planting.
-                    if gp.has_omitted() || blamed_task_panicked {
-                        omitted_detected = gp.has_omitted();
                     } else {
                         false_alarms += 1;
                     }
@@ -268,7 +280,7 @@ pub fn run_program(gp: &GeneratedProgram, chaos: Option<ChaosConfig>) -> Program
         },
         deadlock_latency_ns,
         canonical_log,
-        full_log,
+        events,
     }
 }
 
@@ -281,19 +293,27 @@ fn deadlock_latency(events: &[EventRecord], gp: &GeneratedProgram) -> Option<u64
         .filter(|e| e.kind == EventKind::Alarm && e.alarm == Some("deadlock"))
         .map(|e| e.ts_ns)
         .min()?;
-    let ring_names: Vec<String> = gp.ring_promises.iter().map(|p| format!("p{p}")).collect();
     let closing_get_ts = events
         .iter()
         .filter(|e| e.kind == EventKind::Get && e.ts_ns <= alarm_ts)
         .filter(|e| {
             e.promise_name.as_ref().is_some_and(|n| {
                 let name = n.render();
-                ring_names.iter().any(|r| **r == *name)
+                gp.ring_promises.iter().any(|&p| is_promise_named(&name, p))
             })
         })
         .map(|e| e.ts_ns)
         .max()?;
     Some(alarm_ts - closing_get_ts)
+}
+
+/// Whether `name` is `p{p}`, the name [`run_body`] gives promise `p`,
+/// compared without formatting one: the digits must parse to `p` and be as
+/// many as `p` has, which rules out signs and leading zeros.
+fn is_promise_named(name: &str, p: PromiseName) -> bool {
+    name.strip_prefix('p').is_some_and(|digits| {
+        digits.len() == p.checked_ilog10().map_or(1, |d| d as usize + 1) && digits.parse() == Ok(p)
+    })
 }
 
 /// Executes the abstract program on the real runtime: the calling thread
@@ -537,6 +557,31 @@ mod tests {
         if run.verdict.deadlock_detected {
             assert!(run.deadlock_latency_ns.is_some(), "latency not measured");
         }
+    }
+
+    #[test]
+    fn promise_names_compare_without_formatting() {
+        for p in [0, 1, 9, 10, 12, 100, 4_096] {
+            assert!(is_promise_named(&format!("p{p}"), p));
+            assert!(!is_promise_named(&format!("p{}", p + 1), p));
+            assert!(!is_promise_named(&format!("p0{p}"), p));
+            assert!(!is_promise_named(&format!("p+{p}"), p));
+            assert!(!is_promise_named(&format!("q{p}"), p));
+            assert!(!is_promise_named(&format!("p{p}x"), p));
+        }
+        assert!(!is_promise_named("p", 0));
+        assert!(!is_promise_named("", 0));
+    }
+
+    #[test]
+    fn the_full_log_renders_the_kept_events() {
+        let gp = generate(3, &GenConfig::default());
+        let run = run_program(&gp, None);
+        assert!(!run.events.is_empty());
+        let full = run.full_log();
+        assert_eq!(full.lines().count(), run.events.len());
+        assert_eq!(run.canonical_log, events::canonical_jsonl(&run.events));
+        assert!(export_log(&gp, &run).ends_with(&full));
     }
 
     #[test]
