@@ -287,7 +287,7 @@ impl<V> OneShotCell<V> {
     }
 
     /// Spins the steal-to-wait helping loop: between re-checks of the cell,
-    /// run **one** pending job via `help` (the executor's `try_help` hook)
+    /// run **one** pending job via `help` (the scheduler's `try_help` hook)
     /// instead of parking.  Never announces a waiter and never parks — on
     /// [`HelpWait::NoWork`] (or a bound hit upstream) the caller falls
     /// through to the ordinary [`wait_interruptible`] park path, which is

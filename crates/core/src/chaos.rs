@@ -16,10 +16,11 @@
 //!   detector reads.
 //!
 //! Two scheduler-level perturbations complete the picture (implemented in
-//! `promise-runtime`, driven by the same [`ChaosConfig`]): spawn-order
-//! scrambling (a worker-local spawn is randomly routed through the global
-//! injector instead of the LIFO fast path) and steal-order scrambling
-//! (randomized victim selection).
+//! the [`scheduler`](crate::scheduler), driven by the same seed through
+//! [`SchedulerConfig::scramble`](crate::SchedulerConfig::scramble)):
+//! spawn-order scrambling (a worker-local spawn is randomly routed through
+//! the global injector instead of the LIFO fast path) and steal-order
+//! scrambling (randomized victim selection).
 //!
 //! The design follows the *stress-test* idiom of delay-injection deadlock
 //! tools: delays are derived from a user-supplied seed through a counter, so
@@ -44,29 +45,23 @@ pub enum ChaosSite {
     Transfer,
 }
 
+/// Upper bound, in *spin-loop iterations*, of the delay injected at every
+/// site (roughly a few hundred nanoseconds to a microsecond of jitter per
+/// operation).
+pub const DELAY_BOUND: u32 = 512;
+
 /// Configuration of the chaos fault-injection layer.
 ///
-/// Passed to `RuntimeBuilder::chaos(...)` in `promise-runtime`.  All delays
-/// are upper bounds in *spin-loop iterations*; the concrete delay of each
-/// individual operation is drawn pseudo-randomly (and repeatably) from
-/// `seed`.  A bound of 0 disables that site.
+/// Passed to `RuntimeBuilder::chaos(...)` in `promise-runtime`.  Chaos on
+/// means every site's delay and both scheduler scramblings; the concrete
+/// delay of each individual operation is drawn pseudo-randomly (and
+/// repeatably) from `seed`, below [`DELAY_BOUND`].  Panic and cancel
+/// injection are opt-in on top.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ChaosConfig {
     /// Seed for every pseudo-random decision the chaos layer makes.  Two
     /// runs with the same seed and config draw identical delay sequences.
     pub seed: u64,
-    /// Max spin iterations injected before a `get` (0 = off).
-    pub get_delay: u32,
-    /// Max spin iterations injected before a `set` (0 = off).
-    pub set_delay: u32,
-    /// Max spin iterations injected before a spawn's transfer (0 = off).
-    pub transfer_delay: u32,
-    /// Randomly route worker-local spawns through the global injector
-    /// instead of the worker's own LIFO deque, perturbing execution order.
-    pub scramble_spawns: bool,
-    /// Force randomized steal-victim selection in the work-stealing
-    /// scheduler (equivalent to `StealOrder::Randomized`).
-    pub scramble_steals: bool,
     /// Per-mille probability (0–1000) that a `get`/`set` hook *panics* the
     /// current task body instead of proceeding (0 = off).  Injected panics
     /// are contained by the runtime's panic isolation: the task's promises
@@ -80,68 +75,14 @@ pub struct ChaosConfig {
 }
 
 impl ChaosConfig {
-    /// Default delay bound for all three sites (spin iterations; roughly a
-    /// few hundred nanoseconds to a microsecond of jitter per operation).
-    pub const DEFAULT_DELAY: u32 = 512;
-
-    /// Full chaos from a seed: all three delay sites at
-    /// [`DEFAULT_DELAY`](Self::DEFAULT_DELAY), spawn and steal scrambling on.
+    /// Chaos from a seed: all three delay sites, spawn and steal scrambling
+    /// on, no panic or cancel injection.
     pub fn from_seed(seed: u64) -> ChaosConfig {
         ChaosConfig {
             seed,
-            get_delay: Self::DEFAULT_DELAY,
-            set_delay: Self::DEFAULT_DELAY,
-            transfer_delay: Self::DEFAULT_DELAY,
-            scramble_spawns: true,
-            scramble_steals: true,
             panic_per_mille: 0,
             cancel_per_mille: 0,
         }
-    }
-
-    /// A configuration with every injection disabled (useful as a base for
-    /// enabling single sites in tests).
-    pub fn disabled() -> ChaosConfig {
-        ChaosConfig {
-            seed: 0,
-            get_delay: 0,
-            set_delay: 0,
-            transfer_delay: 0,
-            scramble_spawns: false,
-            scramble_steals: false,
-            panic_per_mille: 0,
-            cancel_per_mille: 0,
-        }
-    }
-
-    /// Sets the pre-`get` delay bound.
-    pub fn with_get_delay(mut self, bound: u32) -> Self {
-        self.get_delay = bound;
-        self
-    }
-
-    /// Sets the pre-`set` delay bound.
-    pub fn with_set_delay(mut self, bound: u32) -> Self {
-        self.set_delay = bound;
-        self
-    }
-
-    /// Sets the pre-`transfer` delay bound.
-    pub fn with_transfer_delay(mut self, bound: u32) -> Self {
-        self.transfer_delay = bound;
-        self
-    }
-
-    /// Enables or disables spawn-order scrambling.
-    pub fn with_scramble_spawns(mut self, on: bool) -> Self {
-        self.scramble_spawns = on;
-        self
-    }
-
-    /// Enables or disables steal-order scrambling.
-    pub fn with_scramble_steals(mut self, on: bool) -> Self {
-        self.scramble_steals = on;
-        self
     }
 
     /// Sets the per-mille panic-injection rate at the `get`/`set` hooks
@@ -156,26 +97,6 @@ impl ChaosConfig {
     pub fn cancel_injection(mut self, per_mille: u32) -> Self {
         self.cancel_per_mille = per_mille.min(1000);
         self
-    }
-
-    /// The delay bound configured for `site`.
-    pub fn bound(&self, site: ChaosSite) -> u32 {
-        match site {
-            ChaosSite::Get => self.get_delay,
-            ChaosSite::Set => self.set_delay,
-            ChaosSite::Transfer => self.transfer_delay,
-        }
-    }
-
-    /// Whether any injection (delay, scrambling, or fault) is enabled.
-    pub fn is_active(&self) -> bool {
-        self.get_delay > 0
-            || self.set_delay > 0
-            || self.transfer_delay > 0
-            || self.scramble_spawns
-            || self.scramble_steals
-            || self.panic_per_mille > 0
-            || self.cancel_per_mille > 0
     }
 }
 
@@ -222,15 +143,11 @@ impl ChaosState {
     }
 
     /// Injects the seeded delay for `site`: a busy spin of
-    /// `mix(seed, n, site) % bound` iterations, with an occasional
+    /// `mix(seed, n, site) % DELAY_BOUND` iterations, with an occasional
     /// `yield_now` so the OS scheduler also gets a chance to reorder threads
     /// (the widest race-window lever available without sleeping).
     #[inline]
     pub(crate) fn delay(&self, site: ChaosSite) {
-        let bound = self.config.bound(site);
-        if bound == 0 {
-            return;
-        }
         let n = self.draws.fetch_add(1, Ordering::Relaxed);
         let site_salt = match site {
             ChaosSite::Get => 0x67u64,
@@ -238,7 +155,7 @@ impl ChaosState {
             ChaosSite::Transfer => 0x74u64,
         };
         let r = mix64(self.config.seed ^ mix64(n ^ (site_salt << 56)));
-        let spins = (r % u64::from(bound)) as u32;
+        let spins = (r % u64::from(DELAY_BOUND)) as u32;
         // Roughly one draw in eight additionally yields the thread: pure
         // spinning only perturbs sub-microsecond interleavings, a yield lets
         // whole quanta reorder.
@@ -294,27 +211,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn disabled_config_is_inactive() {
-        assert!(!ChaosConfig::disabled().is_active());
-        assert!(ChaosConfig::from_seed(1).is_active());
-        assert!(ChaosConfig::disabled().with_get_delay(4).is_active());
-        assert!(ChaosConfig::disabled()
-            .with_scramble_steals(true)
-            .is_active());
-    }
-
-    #[test]
-    fn bounds_map_to_sites() {
-        let c = ChaosConfig::disabled()
-            .with_get_delay(1)
-            .with_set_delay(2)
-            .with_transfer_delay(3);
-        assert_eq!(c.bound(ChaosSite::Get), 1);
-        assert_eq!(c.bound(ChaosSite::Set), 2);
-        assert_eq!(c.bound(ChaosSite::Transfer), 3);
-    }
-
-    #[test]
     fn delays_draw_and_count() {
         let st = ChaosState::new(ChaosConfig::from_seed(0xC0FFEE));
         for _ in 0..64 {
@@ -323,10 +219,10 @@ mod tests {
             st.delay(ChaosSite::Transfer);
         }
         assert_eq!(st.draw_count(), 192);
-        // Disabled sites never draw.
-        let off = ChaosState::new(ChaosConfig::disabled());
-        off.delay(ChaosSite::Get);
-        assert_eq!(off.draw_count(), 0);
+        // Fault decisions at a zero rate never draw.
+        assert!(!st.should_panic(ChaosSite::Get));
+        assert!(!st.should_cancel(ChaosSite::Set));
+        assert_eq!(st.draw_count(), 192);
     }
 
     #[test]
@@ -337,16 +233,12 @@ mod tests {
 
     #[test]
     fn fault_injection_rates_activate_and_fire_at_roughly_the_rate() {
-        assert!(ChaosConfig::disabled().panic_injection(5).is_active());
-        assert!(ChaosConfig::disabled().cancel_injection(5).is_active());
-        assert_eq!(
-            ChaosConfig::disabled()
-                .panic_injection(9999)
-                .panic_per_mille,
-            1000
-        );
+        let c = ChaosConfig::from_seed(7);
+        assert_eq!((c.panic_per_mille, c.cancel_per_mille), (0, 0));
+        let c = c.panic_injection(9999).cancel_injection(5);
+        assert_eq!((c.panic_per_mille, c.cancel_per_mille), (1000, 5));
         let st = ChaosState::new(
-            ChaosConfig::disabled()
+            ChaosConfig::from_seed(0)
                 .panic_injection(250)
                 .cancel_injection(250),
         );
@@ -359,10 +251,5 @@ mod tests {
         // ~1000 expected at 250‰; generous bounds keep the test seed-robust.
         assert!((500..1500).contains(&panics), "panics fired {panics}x");
         assert!((500..1500).contains(&cancels), "cancels fired {cancels}x");
-        // Disabled rates never draw.
-        let off = ChaosState::new(ChaosConfig::disabled());
-        assert!(!off.should_panic(ChaosSite::Get));
-        assert!(!off.should_cancel(ChaosSite::Get));
-        assert_eq!(off.draw_count(), 0);
     }
 }

@@ -3,7 +3,7 @@
 //! A [`Context`] owns the two slot arenas that hold the concurrently read
 //! `owner` / `waitingOn` state, the verification mode, the event counters
 //! and the alarm log.  A task runtime (the `promise-runtime` crate) creates
-//! one context, installs itself as the context's [`Executor`], and registers
+//! one context, installs its [`WorkStealingScheduler`] in it, and registers
 //! every worker thread's current task against it; promises created inside
 //! those tasks attach themselves to the same context.
 
@@ -19,111 +19,10 @@ use crate::counters::{CounterSnapshot, Counters};
 use crate::error::{DeadlockCycle, OmittedSetReport};
 use crate::events::EventLog;
 use crate::ids::{PromiseId, TaskId};
-use crate::job::Job;
 use crate::policy::VerificationMode;
+use crate::scheduler::WorkStealingScheduler;
 use crate::slots::{PromiseSlot, TaskSlot};
 use crate::task;
-
-/// A job an [`Executor`] refused to schedule (it has shut down), handed back
-/// to the submitter so that nothing is lost silently: the caller can run it
-/// inline, settle its promises exceptionally, or drop it (dropping a spawned
-/// task's job triggers the rule-3 exit machinery via `PreparedTask`'s drop).
-pub struct RejectedJob(pub Job);
-
-impl std::fmt::Debug for RejectedJob {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("RejectedJob(..)")
-    }
-}
-
-/// The un-scheduled tail of a refused [`Executor::execute_batch`] call: every
-/// job that was *not* accepted before the executor shut down, in submission
-/// order.  Jobs accepted before the refusal point are already queued and will
-/// run; the same never-drop-silently rule as [`RejectedJob`] applies to the
-/// returned tail.
-pub struct RejectedBatch(pub Vec<Job>);
-
-impl std::fmt::Debug for RejectedBatch {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "RejectedBatch({} jobs)", self.0.len())
-    }
-}
-
-/// Something that can run a task body asynchronously (a thread pool).
-///
-/// `promise-core` is runtime-agnostic; the runtime crate implements this
-/// trait and registers itself via [`Context::set_executor`] so that
-/// higher-level constructs can spawn tasks without depending on a concrete
-/// pool type.
-///
-/// Besides scheduling, the trait is the *blocking seam* of the paper's §6.3
-/// execution strategy: a thread pool for promises must grow whenever a task
-/// is submitted and no non-blocked worker can pick it up, so the pool needs
-/// to know when one of its workers blocks on a promise.  [`Promise::get`]
-/// (and every other blocking wait) brackets the wait with
-/// [`on_task_blocked`](Executor::on_task_blocked) /
-/// [`on_task_unblocked`](Executor::on_task_unblocked) through the installed
-/// executor; implementations use this to keep a blocked-worker count and to
-/// spawn replacement workers so queued tasks never starve behind a blocked
-/// one.
-///
-/// [`Promise::get`]: crate::Promise::get
-pub trait Executor: Send + Sync {
-    /// Schedules `job` to run asynchronously.
-    ///
-    /// Returns the job back as a [`RejectedJob`] if the executor can no
-    /// longer run it (it has shut down).  Implementations must never drop a
-    /// submitted job silently.
-    fn execute(&self, job: Job) -> Result<(), RejectedJob>;
-
-    /// Schedules a batch of jobs, amortising queue and wake-up costs over
-    /// the whole group (the seam behind the runtime's `spawn_batch`).
-    ///
-    /// Jobs must become runnable in submission order-compatible fashion (an
-    /// implementation may interleave them with other submissions, but must
-    /// not reorder within the batch in a way that starves an earlier job
-    /// behind a later one indefinitely).  On shutdown the unaccepted tail is
-    /// handed back as a [`RejectedBatch`].
-    ///
-    /// The default implementation simply loops over
-    /// [`execute`](Executor::execute); schedulers override it with a real
-    /// batched enqueue.
-    fn execute_batch(&self, jobs: Vec<Job>) -> Result<(), RejectedBatch> {
-        let mut iter = jobs.into_iter();
-        for job in iter.by_ref() {
-            if let Err(RejectedJob(job)) = self.execute(job) {
-                let mut rest = vec![job];
-                rest.extend(iter);
-                return Err(RejectedBatch(rest));
-            }
-        }
-        Ok(())
-    }
-
-    /// Called by a blocking promise wait just before the calling thread
-    /// parks.  The default implementation does nothing.
-    fn on_task_blocked(&self) {}
-
-    /// Called when a blocking promise wait resumes (fulfilment, timeout, or
-    /// unwinding).  Calls are balanced with
-    /// [`on_task_blocked`](Executor::on_task_blocked).
-    fn on_task_unblocked(&self) {}
-
-    /// Runs **at most one** pending job on the calling thread, returning
-    /// whether a job ran.  This is the steal-to-wait helping seam (see
-    /// [`crate::helping`]): a blocked promise wait calls it in a loop —
-    /// re-checking the awaited cell between jobs — instead of parking
-    /// straight away, so runnable work drains on the blocked worker's own
-    /// stack rather than forcing §6.3 thread growth.
-    ///
-    /// Implementations must contain panics of the helped job (count them,
-    /// keep the thread usable) and should prefer thread-local work (own
-    /// deque) over shared work (injector, steals).  The default does
-    /// nothing, which disables helping for executors that predate the seam.
-    fn try_help(&self) -> bool {
-        false
-    }
-}
 
 /// An alarm raised by the verifier — one of the two bug classes of §1.2 —
 /// or by the runtime's stall watchdog.
@@ -194,13 +93,17 @@ impl std::fmt::Display for StallReport {
 /// What creating and submitting a task writes and reads, on a cache line of
 /// its own: the id counters are bumped on every task / promise creation, so
 /// the read-mostly fields every operation loads (`mode`, `chaos`,
-/// `events`) must not share their line, and a spawn reads the executor right
-/// after taking its ids, so it rides along.
+/// `events`) must not share their line, and a spawn reads the scheduler
+/// right after taking its ids, so it rides along.
 struct SpawnLine {
     next_task_id: AtomicU64,
     next_promise_id: AtomicU64,
-    executor: OnceLock<Arc<dyn Executor>>,
+    scheduler: OnceLock<Arc<WorkStealingScheduler>>,
 }
+
+// Two id counters and a thin pointer: the line the spawn path writes fits
+// one cache line (the `CachePadded` wrapper only pads it out).
+const _: () = assert!(std::mem::size_of::<SpawnLine>() <= 64);
 
 /// Shared state for one verified (or unverified) promise runtime.
 pub struct Context {
@@ -212,7 +115,7 @@ pub struct Context {
     spawn: CachePadded<SpawnLine>,
     /// Steal-to-wait helping configuration (`None` = never help; runtimes
     /// install one — possibly `HelpConfig::disabled()` — at build time, the
-    /// same set-once discipline as the executor).
+    /// same set-once discipline as the scheduler).
     helping: OnceLock<crate::helping::HelpConfig>,
     /// Chaos fault-injection state (`None` = disabled; the hooks then cost
     /// one pointer load and branch — see [`crate::chaos`]).
@@ -257,12 +160,10 @@ impl Context {
             spawn: CachePadded::new(SpawnLine {
                 next_task_id: AtomicU64::new(1),
                 next_promise_id: AtomicU64::new(1),
-                executor: OnceLock::new(),
+                scheduler: OnceLock::new(),
             }),
             helping: OnceLock::new(),
-            chaos: chaos
-                .filter(ChaosConfig::is_active)
-                .map(|c| Box::new(ChaosState::new(c))),
+            chaos: chaos.map(|c| Box::new(ChaosState::new(c))),
             events: event_log.then(|| Box::new(EventLog::new())),
             shutdown: crate::cancel::CancelToken::new(),
             shutting_down: std::sync::atomic::AtomicBool::new(false),
@@ -295,15 +196,18 @@ impl Context {
         self.counters.snapshot()
     }
 
-    /// Installs the executor used to run spawned tasks.  May only be called
-    /// once; later calls are ignored and return `false`.
-    pub fn set_executor(&self, executor: Arc<dyn Executor>) -> bool {
-        self.spawn.executor.set(executor).is_ok()
+    /// Installs the scheduler that runs spawned tasks and that blocking
+    /// waits report to.  May only be called once; later calls are ignored
+    /// and return `false`.
+    pub fn set_scheduler(&self, scheduler: Arc<WorkStealingScheduler>) -> bool {
+        self.spawn.scheduler.set(scheduler).is_ok()
     }
 
-    /// The installed executor, if any.
-    pub fn executor(&self) -> Option<Arc<dyn Executor>> {
-        self.spawn.executor.get().cloned()
+    /// The installed scheduler, if any.  A borrow: spawning and blocking
+    /// through it leave the scheduler's reference count alone.
+    #[inline]
+    pub fn scheduler(&self) -> Option<&WorkStealingScheduler> {
+        self.spawn.scheduler.get().map(|s| &**s)
     }
 
     /// Installs the steal-to-wait helping configuration (see
@@ -530,7 +434,7 @@ mod tests {
         assert_eq!(ctx.live_tasks(), 0);
         assert_eq!(ctx.live_promises(), 0);
         assert_eq!(ctx.alarm_count(), 0);
-        assert!(ctx.executor().is_none());
+        assert!(ctx.scheduler().is_none());
         assert_eq!(ctx.counter_snapshot(), CounterSnapshot::default());
     }
 
@@ -573,17 +477,16 @@ mod tests {
     }
 
     #[test]
-    fn executor_can_only_be_installed_once() {
-        struct Inline;
-        impl Executor for Inline {
-            fn execute(&self, job: Job) -> Result<(), crate::context::RejectedJob> {
-                job.run();
-                Ok(())
-            }
-        }
+    fn scheduler_can_only_be_installed_once() {
         let ctx = Context::new_verified();
-        assert!(ctx.set_executor(Arc::new(Inline)));
-        assert!(!ctx.set_executor(Arc::new(Inline)));
-        assert!(ctx.executor().is_some());
+        let first = WorkStealingScheduler::with_defaults();
+        let second = WorkStealingScheduler::with_defaults();
+        assert!(ctx.set_scheduler(Arc::clone(&first)));
+        assert!(!ctx.set_scheduler(Arc::clone(&second)));
+        let installed = ctx.scheduler().expect("a scheduler is installed");
+        assert!(std::ptr::eq(installed, &*first));
+        // The context holds one reference; reading it takes none.
+        assert_eq!(Arc::strong_count(&first), 2);
+        assert_eq!(Arc::strong_count(&second), 1);
     }
 }

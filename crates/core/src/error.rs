@@ -219,7 +219,7 @@ pub enum PromiseError {
         /// The promise that was being awaited.
         promise: PromiseId,
     },
-    /// A spawn was refused because the runtime's executor has shut down.
+    /// A spawn was refused because the runtime's scheduler has shut down.
     ///
     /// The task never ran; every promise transferred to it (including its
     /// completion promise) is completed exceptionally so no waiter can hang.

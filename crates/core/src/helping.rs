@@ -5,9 +5,11 @@
 //! triggers a replacement thread so the queued work behind it can still
 //! run.  Helping attacks that cost at its root: before parking, the
 //! blocked worker *runs pending jobs itself* (its own deque, then bounded
-//! steals, then the injector — see `Executor::try_help`), re-checking the
-//! awaited cell between jobs, and only parks — triggering the usual grow
-//! hook — when no runnable work exists or one of the bounds below is hit.
+//! steals, then the injector — see
+//! [`WorkStealingScheduler::try_help`](crate::WorkStealingScheduler::try_help)),
+//! re-checking the awaited cell between jobs, and only parks — triggering
+//! the usual grow hook — when no runnable work exists or one of the bounds
+//! below is hit.
 //!
 //! This module owns the *bounds*: helping nests (a helped job that blocks
 //! may help again), and every nesting level keeps the suspended outer

@@ -1,4 +1,4 @@
-//! The unit of work shipped to an [`Executor`](crate::Executor), backed by a
+//! The unit of work shipped to the [`scheduler`](crate::scheduler), backed by a
 //! recycled block pool.
 //!
 //! Before this module existed a spawned task travelled as a

@@ -18,13 +18,15 @@
 //!   every `get` and raises an alarm at the moment a cycle of tasks blocked
 //!   on each other's promises is created ([`detector`], [`DeadlockCycle`]);
 //! * the memory-ordering discipline of §5 mapped onto the Rust (C++11)
-//!   memory model (documented in [`detector`]).
+//!   memory model (documented in [`detector`]);
+//! * the growing work-stealing [`scheduler`] of the §6.3 execution strategy,
+//!   which a blocking `get` tells when its worker is about to block.
 //!
-//! The crate is runtime-agnostic: it defines an [`Executor`] trait and a
-//! [`Context`] that a task runtime (see the `promise-runtime` crate)
-//! installs on its worker threads.  Everything here can also be driven
-//! directly from plain `std::thread` threads, which is what the unit tests
-//! do.
+//! A task runtime (see the `promise-runtime` crate) creates one [`Context`],
+//! installs a [`WorkStealingScheduler`] in it, and registers its worker
+//! threads' current tasks against it.  Everything except spawning can also
+//! be driven directly from plain `std::thread` threads, which is what most
+//! unit tests do.
 //!
 //! ## Layering
 //!
@@ -65,10 +67,12 @@ pub mod magazine;
 pub mod name;
 pub mod ownership;
 pub mod policy;
+pub mod pool;
 pub mod pool_arc;
 pub mod promise;
 pub mod refs;
 pub mod report;
+pub mod scheduler;
 pub mod slots;
 pub mod smallvec;
 pub mod task;
@@ -82,7 +86,7 @@ pub use cancel::CancelToken;
 pub use cell::{CellWait, HelpWait, OneShotCell, ResultSlot};
 pub use chaos::{ChaosConfig, ChaosSite};
 pub use collection::{collect_promises, PromiseCollection, TransferList};
-pub use context::{Alarm, Context, Executor, RejectedBatch, RejectedJob, StallReport};
+pub use context::{Alarm, Context, StallReport};
 pub use counters::{CounterSnapshot, Counters};
 pub use error::{CycleEntry, DeadlockCycle, OmittedSetReport, PromiseError};
 pub use events::{EventKind, EventLog, EventRecord};
@@ -91,8 +95,10 @@ pub use ids::{PromiseId, TaskId};
 pub use job::Job;
 pub use name::Name;
 pub use policy::VerificationMode;
+pub use pool::{PoolConfig, PoolStats, WorkerExitHook};
 pub use pool_arc::{ErasedPromiseRef, PoolArc};
 pub use promise::{ErasedPromise, Promise};
+pub use scheduler::{SchedulerConfig, WorkStealingScheduler, WorkerProgress};
 pub use smallvec::SmallVec;
 pub use task::{current_task_id, has_current_task, PreparedTask, RootTask, TaskScope};
 pub use waitq::WaitQueue;

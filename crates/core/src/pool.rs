@@ -10,10 +10,10 @@
 //! guarantee that strategy exists for without spawning for merely busy
 //! threads: a task that finds no idle worker gets a new thread while fewer
 //! workers than cores are runnable, and every worker that blocks in a
-//! promise wait, or in a wait declared with [`blocking`](crate::blocking),
+//! promise wait, or in a wait declared with `promise_runtime::blocking`,
 //! is replaced at once.  This module holds the parts of it a caller
-//! configures or reads: [`PoolConfig`] (thread naming, keep-alive, stack
-//! size, eager workers, the exit hook) and [`PoolStats`].
+//! configures or reads: [`PoolConfig`] (keep-alive, eager workers, the exit
+//! hook) and [`PoolStats`].
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -22,20 +22,16 @@ use std::time::Duration;
 /// thread).
 ///
 /// The runtime uses this to sweep fully-free arena chunks when the pool
-/// shrinks (`promise_core::Context::reclaim_memory`).  A retiring worker
-/// holds no cache of its own to flush: the magazines of
-/// `promise_core::magazine` belong to the arenas and the block pool.
+/// shrinks ([`Context::reclaim_memory`](crate::Context::reclaim_memory)).  A
+/// retiring worker holds no cache of its own to flush: the magazines of
+/// [`crate::magazine`] belong to the arenas and the block pool.
 pub type WorkerExitHook = Arc<dyn Fn() + Send + Sync>;
 
 /// The worker-pool part of a [`SchedulerConfig`](crate::SchedulerConfig).
 #[derive(Clone)]
 pub struct PoolConfig {
-    /// Prefix of worker thread names (`<prefix>-<n>`).
-    pub thread_name_prefix: String,
     /// How long an idle worker waits for new work before retiring.
     pub keep_alive: Duration,
-    /// Stack size for worker threads (`None` = platform default).
-    pub stack_size: Option<usize>,
     /// Number of workers started eagerly at pool creation.
     pub initial_workers: usize,
     /// Run by each worker thread as it retires (`None` = nothing).
@@ -45,9 +41,7 @@ pub struct PoolConfig {
 impl std::fmt::Debug for PoolConfig {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("PoolConfig")
-            .field("thread_name_prefix", &self.thread_name_prefix)
             .field("keep_alive", &self.keep_alive)
-            .field("stack_size", &self.stack_size)
             .field("initial_workers", &self.initial_workers)
             .field(
                 "worker_exit_hook",
@@ -60,9 +54,7 @@ impl std::fmt::Debug for PoolConfig {
 impl Default for PoolConfig {
     fn default() -> Self {
         PoolConfig {
-            thread_name_prefix: "promise-worker".to_string(),
             keep_alive: Duration::from_millis(200),
-            stack_size: None,
             initial_workers: 0,
             worker_exit_hook: None,
         }
@@ -77,8 +69,8 @@ pub struct PoolStats {
     /// Workers currently idle (parked waiting for work).
     pub idle_workers: usize,
     /// Workers currently blocked inside a promise wait or a wait declared
-    /// with [`blocking`](crate::blocking) (reported through the
-    /// [`Executor::on_task_blocked`](promise_core::Executor::on_task_blocked)
+    /// with `promise_runtime::blocking` (reported through the
+    /// [`on_task_blocked`](crate::WorkStealingScheduler::on_task_blocked)
     /// blocking seam).  The growth rule counts `current_workers −
     /// blocked_workers` as runnable and starts workers only while that is
     /// below the core count.
@@ -98,11 +90,12 @@ pub struct PoolStats {
     pub steal_probes: usize,
     /// Jobs run *inline* by a thread whose task was blocked in a promise
     /// `get` — steal-to-wait helping via
-    /// [`Executor::try_help`](promise_core::Executor::try_help).  Each helped
-    /// job is also counted in `jobs_executed`; this counter isolates how much
-    /// of the throughput came from helping instead of parking.
+    /// [`try_help`](crate::WorkStealingScheduler::try_help).  Each helped job
+    /// is also counted in `jobs_executed`; this counter isolates how much of
+    /// the throughput came from helping instead of parking.
     pub jobs_helped: usize,
-    /// Batched submissions accepted (`Executor::execute_batch` groups).
+    /// Batched submissions accepted
+    /// ([`submit_batch`](crate::WorkStealingScheduler::submit_batch) groups).
     pub batches_submitted: usize,
     /// Jobs submitted through batches (each also counted in the queue/exec
     /// totals like an individual submission).
@@ -110,7 +103,7 @@ pub struct PoolStats {
     /// Jobs currently queued.
     pub queued_jobs: usize,
     /// Jobs whose body panicked (the panic was caught at the worker's job
-    /// boundary; the worker survived).  This is the executor-level backstop
+    /// boundary; the worker survived).  This is the scheduler-level backstop
     /// count — the task layer additionally settles the panicked task's
     /// promises as `PromiseError::TaskPanicked` and keeps its own counter.
     pub panics: usize,

@@ -77,6 +77,7 @@ use crate::name::Name;
 use crate::ownership;
 use crate::pool_arc::{ErasedPromiseRef, PoolArc};
 use crate::refs::PackedRef;
+use crate::scheduler::WorkStealingScheduler;
 use crate::task;
 
 /// Type-erased view of a promise, used by the ownership machinery (ledgers,
@@ -222,7 +223,7 @@ impl<T, X> PromiseInner<T, X> {
     }
 
     /// The steal-to-wait helping loop (see [`crate::helping`]): before this
-    /// wait parks, run pending jobs inline — the executor's `try_help` pops
+    /// wait parks, run pending jobs inline — the scheduler's `try_help` pops
     /// the worker's own deque, then steals, then the injector — re-checking
     /// the cell between jobs.  Returns `true` when the promise was fulfilled
     /// during helping, in which case the caller skips the park (and the §6.3
@@ -236,7 +237,7 @@ impl<T, X> PromiseInner<T, X> {
     /// get's deadline expiring, or cancellation.  Timeouts and cancellations
     /// are deliberately *not* resolved here — the park path owns their
     /// error mapping and counters.
-    fn help_while_blocked(&self, ex: &dyn crate::Executor, deadline: Option<Instant>) -> bool {
+    fn help_while_blocked(&self, sched: &WorkStealingScheduler, deadline: Option<Instant>) -> bool {
         let Some(cfg) = self.ctx.help_config() else {
             return false;
         };
@@ -252,7 +253,7 @@ impl<T, X> PromiseInner<T, X> {
             || shutdown.is_cancelled() || task_token.as_ref().is_some_and(|t| t.is_cancelled());
         matches!(
             self.cell
-                .wait_helping(deadline, interrupted, || ex.try_help()),
+                .wait_helping(deadline, interrupted, || sched.try_help()),
             crate::cell::HelpWait::Filled
         )
     }
@@ -592,7 +593,7 @@ impl<T: Send + Sync + 'static, X: Send + Sync + 'static> Promise<T, X> {
         if self.inner.is_fulfilled() {
             return self.read_value();
         }
-        self.block_with_executor_hooks(Some(Instant::now() + timeout))?;
+        self.block_with_scheduler_hooks(Some(Instant::now() + timeout))?;
         self.read_value()
     }
 
@@ -609,7 +610,7 @@ impl<T: Send + Sync + 'static, X: Send + Sync + 'static> Promise<T, X> {
     {
         self.inner.ctx.counters().record_get();
         self.on_get_hooks();
-        self.block_with_executor_hooks(Some(deadline))?;
+        self.block_with_scheduler_hooks(Some(deadline))?;
         self.read_value()
     }
 
@@ -766,14 +767,14 @@ impl<T: Send + Sync + 'static, X: Send + Sync + 'static> Promise<T, X> {
         }
         let _clear = mark.map(|slot| ClearMark { ctx, slot });
 
-        self.block_with_executor_hooks(None)
+        self.block_with_scheduler_hooks(None)
     }
 
     /// Parks on the payload cell, bracketing the wait with the installed
-    /// executor's blocked/unblocked hooks (the §6.3 seam: a growing pool must
+    /// scheduler's blocked/unblocked hooks (the §6.3 seam: a growing pool must
     /// learn that one of its workers is about to block on a promise so queued
     /// tasks never starve behind it).
-    fn block_with_executor_hooks(&self, deadline: Option<Instant>) -> Result<(), PromiseError> {
+    fn block_with_scheduler_hooks(&self, deadline: Option<Instant>) -> Result<(), PromiseError> {
         if self.inner.is_fulfilled() {
             return Ok(());
         }
@@ -781,24 +782,24 @@ impl<T: Send + Sync + 'static, X: Send + Sync + 'static> Promise<T, X> {
         // go of what its task no longer owns (and, before the helping gate
         // below reads the ledger, shortens it).
         task::sweep_ledger_before_park(&self.inner.ctx);
-        let executor = self.inner.ctx.executor();
+        let scheduler = self.inner.ctx.scheduler();
         // Steal-to-wait: run pending work instead of parking, when the
         // helping config, the eligibility gate, and the nesting bounds all
         // allow it.  One branch (a `None` helping config) when off.
-        if let Some(ex) = executor.as_deref() {
-            if self.inner.help_while_blocked(ex, deadline) {
+        if let Some(sched) = scheduler {
+            if self.inner.help_while_blocked(sched, deadline) {
                 return Ok(());
             }
         }
-        struct Unblock<'a>(&'a dyn crate::Executor);
+        struct Unblock<'a>(&'a WorkStealingScheduler);
         impl Drop for Unblock<'_> {
             fn drop(&mut self) {
                 self.0.on_task_unblocked();
             }
         }
-        let _guard = executor.as_deref().map(|ex| {
-            ex.on_task_blocked();
-            Unblock(ex)
+        let _guard = scheduler.map(|sched| {
+            sched.on_task_blocked();
+            Unblock(sched)
         });
         self.inner.block(deadline)
     }

@@ -34,7 +34,7 @@ use std::ptr;
 use std::sync::atomic::{fence, AtomicIsize, AtomicPtr, Ordering};
 use std::sync::Arc;
 
-use promise_core::Job;
+use crate::job::Job;
 
 /// A slot value: the job's raw record pointer ([`Job::into_raw`]).
 type Slot = *mut ();

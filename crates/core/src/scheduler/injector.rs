@@ -23,7 +23,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use crossbeam_utils::CachePadded;
 use parking_lot::Mutex;
 
-use promise_core::Job;
+use crate::job::Job;
 
 pub(crate) struct Injector {
     shards: Box<[CachePadded<Mutex<VecDeque<Job>>>]>,

@@ -27,15 +27,16 @@
 //! reaches `P`, the machine's parallelism.  It fires at two points:
 //!
 //! 1. **at submission**, when no worker is parked to take the job;
-//! 2. **at blocking** (via the [`Executor`] blocking seam): a worker about to
-//!    park hands its deque to the injector and, with queued work and no
-//!    idle worker, grows — its own block has just made room under `P`.
+//! 2. **at blocking**: a worker about to park hands its deque to the
+//!    injector and, with queued work and no idle worker, grows — its own
+//!    block has just made room under `P`.
 //!
-//! Blocked workers are counted through [`Executor::on_task_blocked`] /
-//! [`on_task_unblocked`](Executor::on_task_unblocked).  **Covered waits:**
-//! every promise wait (`Promise::get` brackets each park with the hooks, and
-//! the runtime's joins, finish scopes, channels and barriers all wait on
-//! promises), and any wait the caller declares by bracketing it with the
+//! Blocked workers are counted through
+//! [`on_task_blocked`](WorkStealingScheduler::on_task_blocked) /
+//! [`on_task_unblocked`](WorkStealingScheduler::on_task_unblocked).
+//! **Covered waits:** every promise wait (`Promise::get` brackets each park
+//! with the hooks, and the runtime's joins, finish scopes, channels and
+//! barriers all wait on promises), and any wait the caller declares by bracketing it with the
 //! same hooks — `promise_runtime::blocking`.  A task that blocks on
 //! anything else (a std channel, lock or condvar, I/O) without declaring it
 //! holds one of the `P` runnable places until it returns; with `P` such
@@ -87,11 +88,11 @@
 //! ## Steal-to-wait helping and why it preserves the growth rule
 //!
 //! A worker whose task blocks in a promise `get` does not park right away:
-//! the wait loop (see `promise_core::helping`) first calls
-//! [`Executor::try_help`], which runs **one** pending job — own deque first
-//! (LIFO: the just-spawned child a fork-joining parent most often waits
-//! for), then the injector, then a steal sweep — and re-checks the awaited
-//! cell between jobs.  The §6.3 invariant ("a runnable task never waits
+//! the wait loop (see [`crate::helping`]) first calls
+//! [`try_help`](WorkStealingScheduler::try_help), which runs **one** pending
+//! job — own deque first (LIFO: the just-spawned child a fork-joining parent
+//! most often waits for), then the injector, then a steal sweep — and
+//! re-checks the awaited cell between jobs.  The §6.3 invariant ("a runnable task never waits
 //! behind workers that are all blocked") is preserved *by
 //! construction*:
 //!
@@ -107,7 +108,7 @@
 //! budget because each helped frame sits *on top of* the blocked frame on
 //! the worker's stack and cannot retire until every frame above it returns;
 //! the bounds cap worst-case join latency and stack growth.  A gate in
-//! `promise_core::task` additionally refuses helping whenever the blocked
+//! [`crate::task`] additionally refuses helping whenever the blocked
 //! task still owes an unfulfilled promise that another task could block on
 //! (burying such an owner under an unrelated job could stall its consumers
 //! for the helped job's duration, or — transitively — hang).  The helping
@@ -129,26 +130,9 @@ use std::time::{Duration, Instant};
 
 use parking_lot::{Condvar, Mutex, RwLock};
 
-use promise_core::{Executor, Job, RejectedBatch, RejectedJob};
-
+use crate::job::Job;
 use crate::pool::{PoolConfig, PoolStats};
 use deque::{Steal, Stealer, WorkerDeque};
-
-/// Order in which a searching worker visits sibling deques when stealing.
-///
-/// Not a user option: the runtime builds with the sequential sweep
-/// (cache-friendly and deterministic) and selects the randomized start
-/// itself when `ChaosConfig::scramble_steals` asks for perturbed schedules.
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Default)]
-pub enum StealOrder {
-    /// Start at the slot after the searcher's own and sweep round-robin
-    /// (the default).
-    #[default]
-    Sequential,
-    /// Start each sweep at a pseudo-randomly chosen sibling (per-thread
-    /// xorshift, no shared state).
-    Randomized,
-}
 
 /// Number of injector shards external submissions spread over.
 const INJECTOR_SHARDS: usize = 8;
@@ -159,31 +143,23 @@ const INJECTOR_SHARDS: usize = 8;
 /// grows its ring by doubling (see [`deque`]).
 const LOCAL_QUEUE_CAPACITY: usize = 8;
 
+/// Worker threads are named `promise-worker-<n>`, `n` counting every thread
+/// the scheduler has started.
+const WORKER_THREAD_PREFIX: &str = "promise-worker";
+
 /// Configuration of a [`WorkStealingScheduler`].
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct SchedulerConfig {
-    /// The pool knobs: thread naming, keep-alive, stack size, eager workers
-    /// and the worker exit hook.
+    /// The pool knobs: keep-alive, eager workers and the worker exit hook.
     pub base: PoolConfig,
-    /// Order in which a searching worker visits sibling deques when
-    /// stealing (see [`StealOrder`]).
-    pub steal_order: StealOrder,
-    /// Chaos spawn-order scrambling seed (`None` = off, the default): when
+    /// Chaos schedule scrambling seed (`None` = off, the default).  When
     /// set, roughly half of all worker-local submissions — chosen by a
     /// seeded per-thread RNG — are diverted from the worker's LIFO deque to
-    /// the global injector, so children execute in perturbed orders and on
-    /// perturbed workers.  Driven by `ChaosConfig::scramble_spawns`.
-    pub spawn_jitter: Option<u64>,
-}
-
-impl Default for SchedulerConfig {
-    fn default() -> Self {
-        SchedulerConfig {
-            base: PoolConfig::default(),
-            steal_order: StealOrder::Sequential,
-            spawn_jitter: None,
-        }
-    }
+    /// the global injector, and every steal sweep starts at a
+    /// pseudo-randomly chosen sibling instead of the slot after the
+    /// searcher's own, so children execute in perturbed orders and on
+    /// perturbed workers.  The runtime sets it from a chaos config's seed.
+    pub scramble: Option<u64>,
 }
 
 /// One word of the non-empty-deque index: bit `b` of the `n`-th word says
@@ -422,8 +398,8 @@ struct SchedState {
     /// First word of the non-empty-deque index (see [`LocalQueue`]).
     index: IndexWord,
     /// Progress stamps for non-worker helper threads (a blocked root task
-    /// running a job via [`Executor::try_help`]), armed for the duration of
-    /// each helped job so the watchdog sees wedged helped jobs too.
+    /// running a job via [`try_help`](WorkStealingScheduler::try_help)),
+    /// armed for the duration of each helped job so the watchdog sees wedged helped jobs too.
     /// Indexed independently of `workers`; slots are recycled through
     /// `helper_free` instead of removed, so steady-state helping allocates
     /// nothing (the zero-alloc spawn guarantee covers helped joins).
@@ -448,13 +424,14 @@ struct SchedState {
     stolen: AtomicUsize,
     /// Deques inspected by searches (see [`PoolStats::steal_probes`]).
     steal_probes: AtomicUsize,
-    /// Jobs run inline by blocked getters via [`Executor::try_help`]
-    /// (each also counted in `executed`).
+    /// Jobs run inline by blocked getters via
+    /// [`try_help`](WorkStealingScheduler::try_help) (each also counted in
+    /// `executed`).
     helped: AtomicUsize,
     batches: AtomicUsize,
     batch_jobs: AtomicUsize,
     /// Jobs whose body panicked (caught at the job boundary; the worker
-    /// survived).  Executor-level backstop — the task layer also settles the
+    /// survived).  Scheduler-level backstop — the task layer also settles the
     /// panicked task's promises and keeps its own counter.
     panics: AtomicUsize,
     shutdown: AtomicBool,
@@ -804,24 +781,34 @@ impl Drop for WorkStealingScheduler {
     }
 }
 
-impl Executor for WorkStealingScheduler {
-    fn execute(&self, job: Job) -> Result<(), RejectedJob> {
-        self.submit(job).map_err(RejectedJob)
-    }
-
-    fn execute_batch(&self, jobs: Vec<Job>) -> Result<(), RejectedBatch> {
-        self.submit_batch(jobs).map_err(RejectedBatch)
-    }
-
-    fn on_task_blocked(&self) {
+/// The blocking seam of the paper's §6.3 execution strategy: a pool for
+/// promises must grow whenever a task is submitted and no non-blocked
+/// worker can pick it up, so it must learn when one of its workers blocks.
+/// `Promise::get` (and every other blocking wait) brackets its park with
+/// [`on_task_blocked`](Self::on_task_blocked) /
+/// [`on_task_unblocked`](Self::on_task_unblocked), and runs
+/// [`try_help`](Self::try_help) before it parks.
+impl WorkStealingScheduler {
+    /// Called by a blocking wait just before the calling thread parks: the
+    /// blocking trigger of the growth rule (module docs).
+    pub fn on_task_blocked(&self) {
         self.state.note_blocked();
     }
 
-    fn on_task_unblocked(&self) {
+    /// Called when a blocking wait resumes (fulfilment, timeout, or
+    /// unwinding).  Calls are balanced with
+    /// [`on_task_blocked`](Self::on_task_blocked).
+    pub fn on_task_unblocked(&self) {
         self.state.note_unblocked();
     }
 
-    fn try_help(&self) -> bool {
+    /// Runs **at most one** pending job on the calling thread, returning
+    /// whether a job ran: the steal-to-wait helping seam (see
+    /// [`crate::helping`]).  A blocked promise wait calls it in a loop,
+    /// re-checking the awaited cell between jobs, instead of parking
+    /// straight away.  The helped job's panic is contained and counted, and
+    /// the own deque is preferred over the injector and steals.
+    pub fn try_help(&self) -> bool {
         let state = &self.state;
         let me = Arc::as_ptr(state) as *const ();
         let worker = CURRENT_WORKER.with(Cell::get).filter(|w| w.sched == me);
@@ -937,8 +924,9 @@ impl SchedState {
     /// being the machine's parallelism.  No worker is started while `P`
     /// workers are runnable — they come back for the queue when their jobs
     /// return — and every worker that parks in a promise wait (or a wait
-    /// declared through [`Executor::on_task_blocked`]) is replaced at once,
-    /// because its own `on_task_blocked` comes back here.
+    /// declared through
+    /// [`on_task_blocked`](WorkStealingScheduler::on_task_blocked)) is
+    /// replaced at once, because its own `on_task_blocked` comes back here.
     ///
     /// **Why no job is stranded** (Dekker's pairing, every access `SeqCst`).
     /// The caller published the job — an RMW on the deque index bit or on
@@ -996,14 +984,10 @@ impl SchedState {
             }
         };
         let n = self.started.fetch_add(1, Ordering::SeqCst) + 1;
-        let mut builder = std::thread::Builder::new()
-            .name(format!("{}-{}", self.config.base.thread_name_prefix, n));
-        if let Some(sz) = self.config.base.stack_size {
-            builder = builder.stack_size(sz);
-        }
         let state = Arc::clone(self);
         let worker_stamp = Arc::clone(&stamp);
-        let handle = builder
+        let handle = std::thread::Builder::new()
+            .name(format!("{WORKER_THREAD_PREFIX}-{n}"))
             .spawn(move || worker_entry(state, idx, deque, worker_stamp))
             .expect("failed to spawn scheduler worker thread");
         // The slot keeps the handle only while the new thread still holds
@@ -1078,13 +1062,13 @@ impl SchedState {
         self.try_steal(idx)
     }
 
-    /// Chaos spawn-order scrambling: with [`SchedulerConfig::spawn_jitter`]
+    /// Chaos spawn-order scrambling: with [`SchedulerConfig::scramble`]
     /// set, returns `true` for roughly half of worker-local submissions,
     /// telling the caller to route the job through the global injector
     /// instead of the worker's own LIFO deque.  Always `false` when the
     /// knob is off (one `Option` branch on the hot path).
     fn scramble_spawn(&self) -> bool {
-        let Some(seed) = self.config.spawn_jitter else {
+        let Some(seed) = self.config.scramble else {
             return false;
         };
         thread_local! {
@@ -1106,11 +1090,14 @@ impl SchedState {
         })
     }
 
-    /// First slot a steal sweep visits, per the configured [`StealOrder`].
+    /// First slot a steal sweep visits: the slot after the searcher's own
+    /// (cache-friendly and deterministic), or with
+    /// [`SchedulerConfig::scramble`] set a pseudo-randomly chosen sibling
+    /// (per-thread xorshift, no shared state).
     fn steal_start(&self, idx: usize) -> usize {
-        match self.config.steal_order {
-            StealOrder::Sequential => idx.wrapping_add(1),
-            StealOrder::Randomized => {
+        match self.config.scramble {
+            None => idx.wrapping_add(1),
+            Some(_) => {
                 thread_local! {
                     static STEAL_RNG: Cell<u64> = const { Cell::new(0) };
                 }
@@ -1277,8 +1264,8 @@ impl SchedState {
     }
 
     /// Runs one job picked up by a *blocked* getter (steal-to-wait helping;
-    /// see [`Executor::try_help`]).  Differs from [`run_job`](Self::run_job)
-    /// in the stamp protocol: the helper is already inside a busy episode
+    /// see [`try_help`](WorkStealingScheduler::try_help)).  Differs from
+    /// [`run_job`](Self::run_job) in the stamp protocol: the helper is already inside a busy episode
     /// (its own suspended job), so the stamp is re-armed with a *fresh*
     /// episode for the helped job and again on return to the suspended frame
     /// — each helped job and each cell re-check between jobs counts as
@@ -1441,7 +1428,7 @@ fn worker_entry(state: Arc<SchedState>, idx: usize, deque: WorkerDeque, stamp: A
     // Claim a counter shard for this worker so its event counters (promise
     // gets/sets, spawns, …) land in a private cache-padded cell instead of
     // the shared overflow cell.
-    let _counter_slot = promise_core::counters::register_worker();
+    let _counter_slot = crate::counters::register_worker();
     let local = LocalQueue {
         deque,
         word: &state.index.nth(idx / 64).bits,
@@ -1460,7 +1447,7 @@ fn worker_entry(state: Arc<SchedState>, idx: usize, deque: WorkerDeque, stamp: A
     state.worker_loop(idx, &local, &stamp);
     // Retirement hook: the runtime sweeps fully-free arena chunks here.  The
     // worker has no cache of its own to hand back (see
-    // `promise_core::magazine`).
+    // `crate::magazine`).
     if let Some(hook) = &state.config.base.worker_exit_hook {
         hook();
     }
@@ -1772,13 +1759,12 @@ mod tests {
     #[test]
     fn randomized_steal_order_still_finds_all_work() {
         let sched = WorkStealingScheduler::new(SchedulerConfig {
-            steal_order: StealOrder::Randomized,
+            scramble: Some(0x5EED),
             base: PoolConfig {
                 initial_workers: 4,
                 keep_alive: Duration::from_millis(100),
                 ..PoolConfig::default()
             },
-            ..SchedulerConfig::default()
         });
         let counter = Arc::new(AtomicUsize::new(0));
         let (tx, rx) = mpsc::channel();

@@ -13,9 +13,9 @@
 //!    unprepared), and the child's job record and fused completion handle
 //!    are built — but nothing is published to the scheduler yet;
 //! 2. **publish** ([`SpawnBatch::submit`]): all prepared jobs are handed to
-//!    the executor's batch seam
-//!    ([`Executor::execute_batch`](promise_core::Executor::execute_batch)).
-//!    The work-stealing scheduler places the **first** child on the calling
+//!    the scheduler in one call
+//!    ([`WorkStealingScheduler::submit_batch`](crate::WorkStealingScheduler::submit_batch)).
+//!    The scheduler places the **first** child on the calling
 //!    worker's own deque (LIFO — it is the task the parent will most likely
 //!    join first, and the deque slot is two plain stores) and pushes the
 //!    rest onto **one** injector shard under a single lock, then hands out
@@ -33,7 +33,7 @@
 
 use std::sync::Arc;
 
-use promise_core::{CancelToken, Context, Job, PromiseCollection, PromiseError, RejectedBatch};
+use promise_core::{CancelToken, Context, Job, PromiseCollection, PromiseError};
 
 use crate::handle::TaskHandle;
 use crate::spawn::{prepare_spawn, run_task};
@@ -46,7 +46,7 @@ use crate::spawn::{prepare_spawn, run_task};
 /// results through promises.
 pub struct SpawnBatch<R> {
     /// The context of the task that prepared the first child.  Captured at
-    /// prepare time so `submit` publishes to *that* runtime's executor even
+    /// prepare time so `submit` publishes to *that* runtime's scheduler even
     /// if the (Send) batch is moved to another thread first.
     ctx: Option<Arc<Context>>,
     jobs: Vec<Job>,
@@ -167,7 +167,7 @@ impl<R: Send + 'static> SpawnBatch<R> {
     /// Publishes every prepared child to the scheduler in one batched
     /// submission and returns their handles (in preparation order).
     ///
-    /// The children go to the executor of the context they were *prepared*
+    /// The children go to the scheduler of the context they were *prepared*
     /// in (captured at the first successful spawn call), exactly like the
     /// single-spawn path — a `Send` batch moved to another thread, or built
     /// inside one runtime's task and submitted from another's, still
@@ -179,7 +179,7 @@ impl<R: Send + 'static> SpawnBatch<R> {
     ///
     /// # Panics
     ///
-    /// Panics if no executor is installed in the preparing context (same
+    /// Panics if no scheduler is installed in the preparing context (same
     /// condition as [`spawn`](crate::spawn())).
     pub fn submit(self) -> Vec<TaskHandle<R>> {
         let SpawnBatch {
@@ -191,11 +191,11 @@ impl<R: Send + 'static> SpawnBatch<R> {
         if jobs.is_empty() {
             return handles;
         }
-        let executor = ctx
-            .expect("a non-empty batch always captured its preparing context")
-            .executor()
-            .expect("no executor installed in this Context; submit batches from within a Runtime");
-        if let Err(RejectedBatch(rest)) = executor.execute_batch(jobs) {
+        let ctx = ctx.expect("a non-empty batch always captured its preparing context");
+        let scheduler = ctx
+            .scheduler()
+            .expect("no scheduler installed in this Context; submit batches from within a Runtime");
+        if let Err(rest) = scheduler.submit_batch(jobs) {
             // Shutdown raced the submission: dropping the tail runs each
             // child's exit machinery, completing its promises exceptionally.
             drop(rest);

@@ -2,17 +2,15 @@
 //! scheduler so the growth rule covers it like a promise wait.
 //!
 //! The scheduler replaces a worker the moment it blocks in a promise `get`,
-//! because `get` brackets the park with the executor's
-//! [`on_task_blocked`](promise_core::Executor::on_task_blocked) /
-//! [`on_task_unblocked`](promise_core::Executor::on_task_unblocked) hooks.
+//! because `get` brackets the park with the scheduler's
+//! [`on_task_blocked`](crate::WorkStealingScheduler::on_task_blocked) /
+//! [`on_task_unblocked`](crate::WorkStealingScheduler::on_task_unblocked) hooks.
 //! A task that waits on anything else — a std channel, lock, condvar or
 //! barrier, or I/O — holds one of the pool's runnable places until the wait
 //! returns.  [`blocking`] brackets such a wait with the same hooks; it is
 //! the `managedBlock` of Lea's fork/join framework.
 
-use std::sync::Arc;
-
-use promise_core::{task, Executor};
+use promise_core::{task, Context, WorkStealingScheduler};
 
 /// Runs `f`, declaring it a blocking wait of the current task: the
 /// scheduler counts the worker as blocked while `f` runs, hands its queued
@@ -37,17 +35,16 @@ use promise_core::{task, Executor};
 /// .unwrap();
 /// ```
 pub fn blocking<R>(f: impl FnOnce() -> R) -> R {
-    struct Unblock(Arc<dyn Executor>);
-    impl Drop for Unblock {
+    struct Unblock<'a>(&'a WorkStealingScheduler);
+    impl Drop for Unblock<'_> {
         fn drop(&mut self) {
             self.0.on_task_unblocked();
         }
     }
-    let _guard = task::current_context()
-        .and_then(|ctx| ctx.executor())
-        .map(|executor| {
-            executor.on_task_blocked();
-            Unblock(executor)
-        });
+    let ctx = task::current_context();
+    let _guard = ctx.as_deref().and_then(Context::scheduler).map(|sched| {
+        sched.on_task_blocked();
+        Unblock(sched)
+    });
     f()
 }

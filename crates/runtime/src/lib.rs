@@ -10,7 +10,8 @@
 //!   exists for (§6.3): with promises there is no a-priori bound on the
 //!   number of tasks that may block simultaneously.  Waits outside promises
 //!   are covered when declared with [`blocking()`].  The one implementation
-//!   is the sharded work-stealing [`scheduler`];
+//!   is the sharded work-stealing [`scheduler`], which lives in
+//!   `promise-core` because a blocking `get` reports to it;
 //! * **spawning with ownership transfer** ([`spawn()`], [`spawn_named`]): the
 //!   `async (p1, …, pn) { … }` construct of the paper — the listed promises
 //!   move from the parent to the child before the child becomes runnable,
@@ -58,10 +59,10 @@ pub mod finish;
 pub mod handle;
 pub mod metrics;
 pub mod observe;
-mod pool;
 pub mod runtime;
-pub mod scheduler;
 pub mod spawn;
+
+pub use promise_core::scheduler;
 
 pub use batch::{spawn_batch, SpawnBatch};
 pub use blocking::blocking;
@@ -69,10 +70,11 @@ pub use finish::{finish, FinishScope};
 pub use handle::{CompletionPromise, TaskHandle};
 pub use metrics::{DetectionStats, RunMetrics};
 pub use observe::{AlarmTail, ObserveConfig};
-pub use pool::{PoolConfig, PoolStats, WorkerExitHook};
 pub use promise_core::HelpConfig;
+pub use promise_core::{
+    PoolConfig, PoolStats, SchedulerConfig, WorkStealingScheduler, WorkerExitHook, WorkerProgress,
+};
 pub use runtime::{Runtime, RuntimeBuilder, ShutdownReport, WatchdogConfig};
-pub use scheduler::{SchedulerConfig, StealOrder, WorkStealingScheduler, WorkerProgress};
 pub use spawn::{
     spawn, spawn_cancellable, spawn_named, try_spawn, try_spawn_named, try_spawn_with_token,
 };

@@ -9,7 +9,7 @@ use std::time::Duration;
 
 use promise_core::{ArenaMemoryStats, CounterSnapshot};
 
-use crate::pool::PoolStats;
+use promise_core::PoolStats;
 
 /// Measurements of one workload run.
 #[derive(Clone, Debug)]

@@ -52,7 +52,7 @@ use std::time::{Duration, Instant};
 
 use promise_core::{Alarm, Context, CounterSnapshot};
 
-use crate::pool::PoolStats;
+use promise_core::PoolStats;
 
 /// Configuration of the streaming observability plane (see the
 /// [module docs](self) and [`RuntimeBuilder::observe`](crate::RuntimeBuilder::observe)).
@@ -225,6 +225,16 @@ impl Sources {
             (
                 "promise_pool_jobs_helped_total",
                 pool.jobs_helped as u64,
+                "counter",
+            ),
+            (
+                "promise_pool_batches_submitted_total",
+                pool.batches_submitted as u64,
+                "counter",
+            ),
+            (
+                "promise_pool_jobs_batch_submitted_total",
+                pool.jobs_batch_submitted as u64,
                 "counter",
             ),
             ("promise_pool_queued_jobs", pool.queued_jobs as u64, "gauge"),
@@ -490,6 +500,8 @@ fn sampler_loop(
             push_json_field(&mut line, "jobs_stolen", pool.jobs_stolen);
             push_json_field(&mut line, "steal_probes", pool.steal_probes);
             push_json_field(&mut line, "jobs_helped", pool.jobs_helped);
+            push_json_field(&mut line, "batches_submitted", pool.batches_submitted);
+            push_json_field(&mut line, "jobs_batch_submitted", pool.jobs_batch_submitted);
             push_json_field(&mut line, "queued_jobs", pool.queued_jobs);
             push_json_field(&mut line, "panics", pool.panics);
             line.push('}');
@@ -607,6 +619,8 @@ mod tests {
             "promise_live_tasks",
             "promise_pool_workers",
             "promise_pool_steal_probes_total",
+            "promise_pool_batches_submitted_total",
+            "promise_pool_jobs_batch_submitted_total",
             "promise_memory_resident_bytes",
             "promise_arena_shared_path_total",
             "promise_alarms_total",

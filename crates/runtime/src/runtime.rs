@@ -4,14 +4,12 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use promise_core::{
-    Alarm, ArenaMemoryStats, ChaosConfig, Context, Executor, HelpConfig, PromiseError, StallReport,
-    VerificationMode,
+    Alarm, ArenaMemoryStats, ChaosConfig, Context, HelpConfig, PoolConfig, PoolStats, PromiseError,
+    SchedulerConfig, StallReport, VerificationMode, WorkStealingScheduler,
 };
 
 use crate::metrics::RunMetrics;
 use crate::observe::{AlarmTail, ObserveConfig, Observer};
-use crate::pool::{PoolConfig, PoolStats};
-use crate::scheduler::{SchedulerConfig, StealOrder, WorkStealingScheduler};
 
 /// Configuration of the opt-in stall watchdog (see
 /// [`RuntimeBuilder::watchdog`]).
@@ -197,10 +195,8 @@ impl RuntimeBuilder {
     ///
     /// Chaos mode exists to *stress the verifier itself*: it widens the race
     /// windows Algorithm 2's publish/verify protocol must survive without
-    /// changing any observable semantics.  A config with every knob off
-    /// (`ChaosConfig::disabled()`) is equivalent to not calling this at all;
-    /// when no chaos is configured the runtime pays one pointer-null branch
-    /// per injection point.
+    /// changing any observable semantics.  When no chaos is configured the
+    /// runtime pays one pointer-null branch per injection point.
     pub fn chaos(mut self, config: ChaosConfig) -> Self {
         self.chaos = Some(config);
         self
@@ -253,35 +249,19 @@ impl RuntimeBuilder {
         self
     }
 
-    /// Prefix for worker thread names.
-    pub fn thread_name_prefix(mut self, prefix: &str) -> Self {
-        self.pool.thread_name_prefix = prefix.to_string();
-        self
-    }
-
     /// Builds the runtime: creates the context, creates the scheduler, and
-    /// installs the scheduler as the context's executor.
+    /// installs the scheduler in the context.
     pub fn build(self) -> Runtime {
-        let chaos = self.chaos.filter(ChaosConfig::is_active);
-        // Scheduler-level chaos: scrambled steals select the randomized
-        // victim order; scrambled spawns are a seeded jitter the scheduler
-        // applies to its worker-local fast path.
-        let steal_order = match &chaos {
-            Some(c) if c.scramble_steals => StealOrder::Randomized,
-            _ => StealOrder::Sequential,
-        };
-        let spawn_jitter = match &chaos {
-            Some(c) if c.scramble_spawns => Some(c.seed),
-            _ => None,
-        };
-        let ctx = Context::new_instrumented(self.mode, chaos, self.event_log);
+        // Scheduler-level chaos: the seed scrambles both the spawn placement
+        // and the steal order.
+        let scramble = self.chaos.as_ref().map(|c| c.seed);
+        let ctx = Context::new_instrumented(self.mode, self.chaos, self.event_log);
         // A retiring worker means the pool is shrinking: a natural low point
         // to sweep fully-free arena chunks (worker exit is rare, and reclaim
         // never blocks the data plane).  The worker itself has nothing to
         // hand back — the magazines it allocated through belong to the
         // arenas and the block pool, not to it.  Weak: the context holds the
-        // scheduler as its executor, so a strong reference here would leak
-        // both in a cycle.
+        // scheduler, so a strong reference here would leak both in a cycle.
         let mut pool_config = self.pool;
         let weak_ctx = Arc::downgrade(&ctx);
         pool_config.worker_exit_hook = Some(Arc::new(move || {
@@ -291,10 +271,9 @@ impl RuntimeBuilder {
         }));
         let scheduler = WorkStealingScheduler::new(SchedulerConfig {
             base: pool_config,
-            steal_order,
-            spawn_jitter,
+            scramble,
         });
-        let installed = ctx.set_executor(Arc::clone(&scheduler) as Arc<dyn Executor>);
+        let installed = ctx.set_scheduler(Arc::clone(&scheduler));
         debug_assert!(installed);
         let installed_help = ctx.set_help_config(self.help);
         debug_assert!(installed_help);
@@ -540,5 +519,76 @@ impl std::fmt::Debug for Runtime {
             .field("mode", &self.ctx.mode())
             .field("pool", &self.scheduler.stats())
             .finish()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{blocking, spawn};
+    use promise_core::Promise;
+
+    /// Waits (bounded) until `cond` holds.
+    fn wait_until(what: &str, mut cond: impl FnMut() -> bool) {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !cond() {
+            assert!(Instant::now() < deadline, "timed out waiting for {what}");
+            std::thread::yield_now();
+        }
+    }
+
+    /// Spawns, blocking `get`s and `blocking()` borrow the context's
+    /// scheduler: while tasks are parked in them, the scheduler's reference
+    /// count reads what it reads with the runtime idle.
+    #[test]
+    fn parked_waits_hold_no_scheduler_reference() {
+        // Without helping every blocking `get` parks at once.
+        let rt = Runtime::builder().help(HelpConfig::disabled()).build();
+        let idle = Arc::strong_count(&rt.scheduler);
+        let sched = Arc::downgrade(&rt.scheduler);
+        let ctx = Arc::clone(rt.context());
+        let (in_root_get, in_workers) = rt
+            .block_on(|| {
+                // The root parks in `get`; its child samples the count once
+                // the root's blocking `get` has run the detector and has had
+                // time to reach the park.
+                let p = Promise::<usize>::new();
+                let runs = ctx.counter_snapshot().detector_runs;
+                let child = spawn(&p, {
+                    let (p, ctx) = (p.clone(), Arc::clone(&ctx));
+                    move || {
+                        wait_until("the root's get", || {
+                            ctx.counter_snapshot().detector_runs > runs
+                        });
+                        std::thread::sleep(Duration::from_millis(20));
+                        p.set(sched.strong_count()).unwrap();
+                    }
+                });
+                let in_root_get = p.get().unwrap();
+                child.join().unwrap();
+
+                // Two workers park, one in `get` and one in `blocking()`;
+                // the pool counts both before the root samples.
+                let gate = Promise::<()>::new();
+                let getter = spawn((), {
+                    let gate = gate.clone();
+                    move || gate.get().unwrap()
+                });
+                let (tx, rx) = std::sync::mpsc::channel::<()>();
+                let blocker = spawn((), move || blocking(|| rx.recv().unwrap()));
+                wait_until("two blocked workers", || {
+                    rt.pool_stats().blocked_workers == 2
+                });
+                let in_workers = Arc::strong_count(&rt.scheduler);
+                gate.set(()).unwrap();
+                tx.send(()).unwrap();
+                getter.join().unwrap();
+                blocker.join().unwrap();
+                (in_root_get, in_workers)
+            })
+            .unwrap();
+        assert_eq!(in_root_get, idle, "a root parked in get holds a reference");
+        assert_eq!(in_workers, idle, "parked workers hold references");
+        assert_eq!(Arc::strong_count(&rt.scheduler), idle);
     }
 }

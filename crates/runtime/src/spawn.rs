@@ -193,7 +193,7 @@ pub(crate) fn prepare_spawn<R: Send + 'static>(
 /// # Panics
 ///
 /// Panics if the calling thread has no active task, if the parent does not
-/// own one of the transferred promises, or if no executor is installed.
+/// own one of the transferred promises, or if no scheduler is installed.
 pub fn spawn<C, F, R>(transfers: C, f: F) -> TaskHandle<R>
 where
     C: PromiseCollection,
@@ -287,19 +287,19 @@ where
     // token the task actually observes.
     let cancel = prepared.cancel_token();
 
-    let executor = ctx.executor().expect(
-        "no executor installed in this Context; spawn tasks from within a Runtime (block_on)",
+    let scheduler = ctx.scheduler().expect(
+        "no scheduler installed in this Context; spawn tasks from within a Runtime (block_on)",
     );
 
     let completion_in_task = completion.clone();
     let job = Job::new(move || run_task(prepared, f, completion_in_task));
-    if let Err(rejected) = executor.execute(job) {
-        // The executor has shut down and handed the job back.  Dropping it
+    if let Err(rejected) = scheduler.submit(job) {
+        // The scheduler has shut down and handed the job back.  Dropping it
         // drops the `PreparedTask` inside, which runs the rule-3 exit
         // machinery as if the task terminated immediately: the transferred
         // promises and the completion promise are completed exceptionally,
         // so no waiter (and no later `join`) can hang on the never-run task.
-        drop(rejected.0);
+        drop(rejected);
         return Err(PromiseError::RuntimeShutdown { task: task_id });
     }
 
@@ -387,7 +387,7 @@ where
     if let Some(payload) = panic_payload {
         // Containment is complete — the panic was counted, the exit sweep
         // ran, and the completion settled — so re-raise the original payload
-        // for the worker's executor-level `catch_unwind`.  That backstop is
+        // for the worker's scheduler-level `catch_unwind`.  That backstop is
         // what keeps the worker thread alive, and letting it see the unwind
         // keeps `PoolStats::panics` an honest count of every job that
         // panicked (not just the ones that escaped the task machinery).

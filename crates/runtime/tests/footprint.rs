@@ -17,7 +17,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use promise_core::{Executor, Job};
+use promise_core::Job;
 use promise_runtime::{Runtime, SchedulerConfig, WorkStealingScheduler};
 use promise_stats::{AllocStats, CountingAllocator};
 

@@ -181,7 +181,7 @@ fn spawn_after_shutdown_errors_and_settles_promises() {
     let rt = Runtime::new();
     let ctx = Arc::clone(rt.context());
     // Shut the scheduler down while keeping the context (and therefore
-    // the installed executor handle) alive.
+    // the installed scheduler handle) alive.
     rt.shutdown();
 
     let root = ctx.root_task(Some("post-shutdown"));

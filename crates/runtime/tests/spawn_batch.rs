@@ -89,7 +89,7 @@ fn batch_submitted_after_shutdown_settles_exceptionally() {
     });
     let handles = batch.submit();
     assert_eq!(handles.len(), 1);
-    // The executor refused the batch; the never-run child's promises were
+    // The scheduler refused the batch; the never-run child's promises were
     // completed exceptionally, and the handle's join observes it.
     for h in handles {
         assert!(h.join().is_err());

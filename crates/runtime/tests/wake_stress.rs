@@ -4,7 +4,7 @@
 //!
 //! One worker pushes a fan of children onto its own deque while every
 //! sibling is parked — the shape where almost every push skips its signal —
-//! with children that return, that block (through the `Executor` blocking
+//! with children that return, that block (through the scheduler's blocking
 //! seam, all of them at once, so the fan only completes if every child gets
 //! a thread), that panic, and with shutdown racing the pushes.  Each round
 //! checks the three things the rule must not cost:
@@ -21,7 +21,7 @@ use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use promise_core::test_support::rng::{jitter, seed_from_env_echoed, xorshift};
-use promise_core::{Executor, Job};
+use promise_core::Job;
 use promise_runtime::{PoolConfig, SchedulerConfig, WorkStealingScheduler};
 
 const CHILDREN: usize = 64;

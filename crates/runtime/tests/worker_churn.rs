@@ -15,7 +15,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use promise_core::{Executor, Job};
+use promise_core::Job;
 use promise_runtime::{PoolConfig, SchedulerConfig, WorkStealingScheduler};
 
 const WAVES: usize = 5;

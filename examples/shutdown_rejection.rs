@@ -1,4 +1,4 @@
-//! What happens to a spawn that races the runtime's shutdown: the executor
+//! What happens to a spawn that races the runtime's shutdown: the scheduler
 //! hands the job back, `try_spawn` returns `PromiseError::RuntimeShutdown`,
 //! and every promise transferred to the never-run task is completed
 //! exceptionally — a waiter gets an error immediately instead of hanging.
@@ -14,13 +14,13 @@ use promises::runtime::try_spawn;
 
 fn main() {
     let rt = Runtime::new();
-    // Keep the verification context (and its installed executor handle)
+    // Keep the verification context (and its installed scheduler handle)
     // alive past the scheduler's shutdown.
     let ctx = Arc::clone(rt.context());
     rt.shutdown();
 
     // Tasks can still be *described* — the context is alive — but the
-    // executor refuses to run them.
+    // scheduler refuses to run them.
     let root = ctx.root_task(Some("post-shutdown"));
     let p = Promise::<i32>::with_name("orphan");
     let err = try_spawn(&p, {
